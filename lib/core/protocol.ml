@@ -98,7 +98,7 @@ type msg =
   | Update of update
   | Update_batch of batch
   | Shard_update of shard_update
-  | Fetch_request of { proc : int; loc : Mc_history.Op.location }
+  | Fetch_request of { proc : int; loc : Mc_history.Op.location; after : int }
   | Fetch_reply of {
       loc : Mc_history.Op.location;
       numeric : Mc_history.Op.value;
@@ -131,22 +131,18 @@ type msg =
   | Barrier_arrive of {
       proc : int;
       episode : int;
+      members : int list;
       vc : int array;
-      members : int list;  (** empty means all processes *)
-      sent : int array;
-          (** multicast mode: cumulative update counts this process has
-              sent to each peer (Section 6's count vectors); empty when
-              vector timestamps are in use *)
+      sent : (int * int * int) list;
     }
   | Barrier_release of {
       episode : int;
-      dep : int array;
       members : int list;
-      expect : int array;
-          (** multicast mode: cumulative update counts the receiver must
-              have received from each peer before leaving the barrier;
-              empty when vector timestamps are in use *)
+      dep : int array;
+      expect : (int * int * int) list;
     }
+
+let everyone = -1
 
 let kind = function
   | Update { is_dec = false; _ } -> "update"

@@ -2,7 +2,8 @@
 
     All node-to-node traffic is one of these messages. Updates carry the
     writer's dependency clock for causal delivery; lock and barrier
-    control messages carry dependency clocks so grantees and barrier
+    control messages carry dependency clocks (barriers under multicast
+    or sharded routing: per-peer update counts) so grantees and barrier
     leavers know which updates must be applied before they proceed. *)
 
 (** A propagated write or decrement. *)
@@ -85,7 +86,14 @@ type msg =
   | Update of update
   | Update_batch of batch
   | Shard_update of shard_update
-  | Fetch_request of { proc : int; loc : Mc_history.Op.location }
+  | Fetch_request of {
+      proc : int;
+      loc : Mc_history.Op.location;
+      after : int;
+          (** the number of full barriers the requester has passed: the
+              home answers once it has passed as many, so it has
+              received every update sent to it before them *)
+    }
       (** demand-driven propagation for non-subscribers: ask the
           location's shard {e home} (least subscriber) for its current
           per-shard causal value *)
@@ -125,23 +133,42 @@ type msg =
   | Flush_ack of { proc : int }
   | Barrier_arrive of {
       proc : int;
+          (** the sending node: an arriving process, or an inner node of
+              the combining tree reporting its whole subtree *)
       episode : int;
-      vc : int array;
       members : int list;  (** empty means all processes *)
-      sent : int array;
-          (** multicast mode: cumulative update counts this process has
-              sent to each peer (Section 6's count vectors); empty when
-              vector timestamps are in use *)
+      vc : int array;
+          (** vector-timestamp mode: pointwise maximum of the applied
+              counts of every process in the sender's subtree; empty in
+              count mode *)
+      sent : (int * int * int) list;
+          (** count mode (multicast or sharded routing): Section 6's
+              count vectors, sparse — one [(receiver, sender, count)]
+              entry per nonzero cumulative number of updates a process
+              of the sender's subtree has sent to a receiver (or, with
+              receiver {!everyone}, to every process); empty when vector
+              timestamps are in use *)
     }
   | Barrier_release of {
       episode : int;
-      dep : int array;
       members : int list;
-      expect : int array;
-          (** multicast mode: cumulative update counts the receiver must
-              have received from each peer before leaving the barrier;
-              empty when vector timestamps are in use *)
+      dep : int array;
+          (** vector-timestamp mode: updates every leaver must have
+              applied (the pointwise maximum of all arrivals); empty in
+              count mode *)
+      expect : (int * int * int) list;
+          (** count mode: the [(receiver, sender, count)] entries whose
+              receiver lies in the destination's subtree or is
+              {!everyone}; each leaver waits until it has received the
+              counted updates from every sender listed for it. Empty
+              when vector timestamps are in use *)
     }
+
+(** [everyone] ([-1]) is the receiver of a count entry that stands for
+    every process other than its sender: the updates the sender routed
+    to all processes. A process's expected count from a sender is that
+    sender's [everyone] entry plus its entry for the process itself. *)
+val everyone : int
 
 (** [kind msg] is a short label for per-kind message statistics. *)
 val kind : msg -> string

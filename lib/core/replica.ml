@@ -228,6 +228,7 @@ let gap_counter o shard =
 let id t = t.node_id
 let applied t = Array.copy t.applied_counts
 let received t = Array.copy t.received_counts
+let received_from t j = t.received_counts.(j)
 
 let shard_pending_total t =
   Hashtbl.fold (fun _ st acc -> acc + List.length st.sh_pending) t.shards 0

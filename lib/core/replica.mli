@@ -58,6 +58,10 @@ val applied : t -> int array
     PRAM view's application counts). Returns a copy. *)
 val received : t -> int array
 
+(** [received_from t j] is the number of updates received from writer
+    [j], without copying the vector. *)
+val received_from : t -> int -> int
+
 (** {1 Local operations} *)
 
 (** [local_write t ~loc ~numeric ~tag] applies a write locally to both

@@ -16,11 +16,16 @@ type node = {
   ack_waiters : (Op.lock_name, (int -> unit) Queue.t) Hashtbl.t;
   mutable flush_waiter : (int ref * (unit -> unit)) option;
       (* remaining acks, resume *)
-  released : (int list * int, int array * int array) Hashtbl.t;
+  released : (int list * int, int array * (int * int) list) Hashtbl.t;
       (* (member set, episode) -> (dep, expect); [] means all processes *)
   mutable barrier_episode : int;
+  mutable barriers_passed : int; (* full barriers this process has left *)
+  deferred_fetches : (int * int * Op.location) Queue.t;
+      (* (after, proc, loc): fetch requests this home answers once it
+         has passed [after] full barriers, in arrival order *)
   subset_episodes : (int list, int ref) Hashtbl.t;
-  sent_updates : int array; (* cumulative updates sent to each peer *)
+  sent_updates : int array; (* cumulative updates routed to each peer *)
+  mutable broadcast_sent : int; (* cumulative updates sent to every peer *)
   mutable open_write_sets :
     (Op.lock_name * (Op.location, int * int * int) Hashtbl.t) list;
       (* loc -> (write_seq, numeric, tag) written under each
@@ -113,7 +118,7 @@ type t = {
   net : Protocol.msg Network.t;
   nodes : node array;
   lock_managers : Lock_manager.t array;
-  barrier_manager : Barrier_manager.t;
+  barrier_managers : Barrier_manager.t array; (* one combiner per node *)
   recorder : Recorder.t option;
   checker : Mc_consistency.Online.t option;
   (* stability collector state: per location, the recorded values whose
@@ -166,12 +171,20 @@ let batch_wire_bytes cfg b =
 let shard_update_wire_bytes cfg (su : Protocol.shard_update) =
   cfg.Config.update_bytes + 8 + (8 * List.length su.su_sdep)
 
-let control_wire_bytes cfg msg =
+(* 8 bytes per transmitted int: a barrier message pays for its clock and
+   for each count entry, whose receiver (on an arrival: sender) field is
+   implied when it is the message's own node *)
+let control_wire_bytes cfg ~dst msg =
+  let entries own l =
+    List.fold_left (fun acc x -> acc + if own x then 16 else 24) 0 l
+  in
   cfg.Config.control_bytes
   + (match msg with
-    | Protocol.Lock_grant _ | Protocol.Unlock_msg _ | Protocol.Barrier_arrive _
-    | Protocol.Barrier_release _ ->
-      vc_bytes cfg
+    | Protocol.Lock_grant _ | Protocol.Unlock_msg _ -> vc_bytes cfg
+    | Protocol.Barrier_arrive { proc; vc; sent; _ } ->
+      (8 * Array.length vc) + entries (fun (_, s, _) -> s = proc) sent
+    | Protocol.Barrier_release { dep; expect; _ } ->
+      (8 * Array.length dep) + entries (fun (r, _, _) -> r = dst) expect
     | _ -> 0)
   + (* entry mode: guarded values ride the lock messages and pay for it *)
   (match msg with
@@ -184,9 +197,42 @@ let control_wire_bytes cfg msg =
 
 let send t ~src ~dst ?(control = true) msg =
   let bytes =
-    if control then control_wire_bytes t.cfg msg else update_wire_bytes t.cfg
+    if control then control_wire_bytes t.cfg ~dst msg
+    else update_wire_bytes t.cfg
   in
   Network.send t.net ~src ~dst ~bytes ~kind:(Protocol.kind msg) msg
+
+(* this node is the shard's home: answer from the per-shard causal view,
+   stamped with its per-writer applied counts *)
+let serve_fetch t node_id ~proc loc =
+  let node = t.nodes.(node_id) in
+  let pl =
+    match t.cfg.Config.placement with
+    | Some pl -> pl
+    | None -> invalid_arg "Runtime: fetch request without a placement"
+  in
+  let shard = Mc_placement.Placement.shard_of_loc pl loc in
+  let numeric, tag = Replica.shard_read node.replica ~shard loc in
+  let clock = Replica.shard_clock node.replica ~shard in
+  (match t.tracer with
+  | Some tr ->
+    Trace.instant tr ~cat:"fetch" ~tid:node_id ~ts:(Engine.now t.engine)
+      ~args:[ ("loc", loc); ("proc", string_of_int proc) ]
+      "fetch_serve"
+  | None -> ());
+  send t ~src:node_id ~dst:proc (Protocol.Fetch_reply { loc; numeric; tag; clock })
+
+let serve_deferred_fetches t node_id =
+  let node = t.nodes.(node_id) in
+  let rec go () =
+    match Queue.peek_opt node.deferred_fetches with
+    | Some (after, proc, loc) when after <= node.barriers_passed ->
+      ignore (Queue.pop node.deferred_fetches);
+      serve_fetch t node_id ~proc loc;
+      go ()
+    | _ -> ()
+  in
+  go ()
 
 let handle_message t node_id ~src msg =
   let node = t.nodes.(node_id) in
@@ -217,11 +263,8 @@ let handle_message t node_id ~src msg =
         resume ()
       end
     | None -> invalid_arg "Runtime: unexpected flush ack")
-  | Protocol.Barrier_arrive _ ->
-    Barrier_manager.handle t.barrier_manager ~src msg
-  | Protocol.Barrier_release { episode; dep; members; expect } ->
-    Hashtbl.replace node.released (members, episode) (dep, expect);
-    Replica.notify node.replica
+  | Protocol.Barrier_arrive _ | Protocol.Barrier_release _ ->
+    Barrier_manager.handle t.barrier_managers.(node_id) ~src msg
   | Protocol.Shard_update su ->
     (* relay down the per-(writer, shard) dissemination tree before
        ingesting: the tree is deterministic, so consecutive updates of
@@ -238,24 +281,14 @@ let handle_message t node_id ~src msg =
           msg
     | None -> ());
     Replica.shard_receive node.replica su
-  | Protocol.Fetch_request { proc; loc } ->
-    (* this node is the shard's home: answer from the per-shard causal
-       view, stamped with its per-writer applied counts *)
-    let pl =
-      match t.cfg.Config.placement with
-      | Some pl -> pl
-      | None -> invalid_arg "Runtime: fetch request without a placement"
-    in
-    let shard = Mc_placement.Placement.shard_of_loc pl loc in
-    let numeric, tag = Replica.shard_read node.replica ~shard loc in
-    let clock = Replica.shard_clock node.replica ~shard in
-    (match t.tracer with
-    | Some tr ->
-      Trace.instant tr ~cat:"fetch" ~tid:node_id ~ts:(Engine.now t.engine)
-        ~args:[ ("loc", loc); ("proc", string_of_int proc) ]
-        "fetch_serve"
-    | None -> ());
-    send t ~src:node_id ~dst:proc (Protocol.Fetch_reply { loc; numeric; tag; clock })
+  | Protocol.Fetch_request { proc; loc; after } ->
+    (* a requester past a barrier may read only values at least as new
+       as that barrier: wait until this home has passed it too, so that
+       every pre-barrier update sent here has arrived. Later requests
+       queue behind earlier ones, keeping replies FIFO. *)
+    if after <= node.barriers_passed && Queue.is_empty node.deferred_fetches then
+      serve_fetch t node_id ~proc loc
+    else Queue.push (after, proc, loc) node.deferred_fetches
   | Protocol.Fetch_reply { loc; numeric; tag; clock } -> (
     match Hashtbl.find_opt node.fetch_waiters loc with
     | Some q when not (Queue.is_empty q) -> (Queue.pop q) (numeric, tag, clock)
@@ -424,8 +457,11 @@ let create engine ?latency cfg =
                  flush_waiter = None;
                  released = Hashtbl.create 8;
                  barrier_episode = 0;
+                 barriers_passed = 0;
+                 deferred_fetches = Queue.create ();
                  subset_episodes = Hashtbl.create 4;
                  sent_updates = Array.make n 0;
+                 broadcast_sent = 0;
                  open_write_sets = [];
                  write_seq = 0;
                  outbox = [];
@@ -438,7 +474,13 @@ let create engine ?latency cfg =
                Lock_manager.create ~n
                  ~demand:(cfg.Config.propagation = Config.Demand)
                  ~send:(send_from home));
-         barrier_manager = Barrier_manager.create ~n ~send:(send_from 0);
+         barrier_managers =
+           Array.init n (fun id ->
+               Barrier_manager.create ~id ~n ~send:(send_from id)
+                 ~deliver:(fun ~members ~episode ~dep ~expect ->
+                   let node = (Lazy.force t).nodes.(id) in
+                   Hashtbl.replace node.released (members, episode) (dep, expect);
+                   Replica.notify node.replica));
          recorder =
            (if cfg.Config.record || cfg.Config.check_online then
               Some (Recorder.create ~materialize:cfg.Config.record ~procs:n ())
@@ -552,7 +594,7 @@ let create engine ?latency cfg =
               ("sseq", string_of_int su.su_sseq);
               ("loc", su.su_loc);
             ]
-        | Protocol.Fetch_request { proc; loc } ->
+        | Protocol.Fetch_request { proc; loc; _ } ->
           emit ~cat:"fetch"
             [ ("loc", loc); ("rtt", string_of_int (rtt_push (proc, loc))) ]
         | Protocol.Fetch_reply { loc; _ } ->
@@ -741,7 +783,7 @@ let fetch_read p pl ~label ~shard loc =
     | Some home ->
       let t_req = Engine.now p.rt.engine in
       send p.rt ~src:p.id ~dst:home
-        (Protocol.Fetch_request { proc = p.id; loc });
+        (Protocol.Fetch_request { proc = p.id; loc; after = node.barriers_passed });
       let reply =
         timed p p.rt.hot.h_fetch (fun () ->
             Engine.suspend p.rt.engine (fun resume ->
@@ -882,20 +924,15 @@ let flush_outbox t node_id =
     | [ u ] ->
       let bytes = update_wire_bytes t.cfg in
       let kind = Protocol.kind (Protocol.Update u) in
+      node.broadcast_sent <- node.broadcast_sent + 1;
       for dst = 0 to t.cfg.Config.procs - 1 do
-        if dst <> node_id then begin
-          node.sent_updates.(dst) <- node.sent_updates.(dst) + 1;
+        if dst <> node_id then
           Network.send t.net ~src:node_id ~dst ~bytes ~kind (Protocol.Update u)
-        end
       done
     | buffered ->
       let b = Protocol.encode_batch (List.rev buffered) in
-      let k = Protocol.batch_length b in
       let bytes = batch_wire_bytes t.cfg b in
-      for dst = 0 to t.cfg.Config.procs - 1 do
-        if dst <> node_id then
-          node.sent_updates.(dst) <- node.sent_updates.(dst) + k
-      done;
+      node.broadcast_sent <- node.broadcast_sent + Protocol.batch_length b;
       Network.broadcast t.net ~src:node_id ~bytes ~kind:"update_batch"
         (Protocol.Update_batch b))
 
@@ -904,17 +941,18 @@ let broadcast_update p (u : Protocol.update) =
   let bytes = update_wire_bytes p.rt.cfg in
   let kind = Protocol.kind (Protocol.Update u) in
   let send_to dst =
-    if dst <> p.id then begin
-      node.sent_updates.(dst) <- node.sent_updates.(dst) + 1;
+    if dst <> p.id then
       Network.send p.rt.net ~src:p.id ~dst ~bytes ~kind (Protocol.Update u)
-    end
+  in
+  let send_all () =
+    node.broadcast_sent <- node.broadcast_sent + 1;
+    for dst = 0 to p.rt.cfg.Config.procs - 1 do
+      send_to dst
+    done
   in
   match p.rt.cfg.Config.multicast with
   | None ->
-    if p.rt.cfg.Config.batch_max <= 1 then
-      for dst = 0 to p.rt.cfg.Config.procs - 1 do
-        send_to dst
-      done
+    if p.rt.cfg.Config.batch_max <= 1 then send_all ()
     else begin
       (* coalesce: consecutive local updates have consecutive useqs, so
          the outbox is always a valid batch. Flushed when full, when the
@@ -935,11 +973,13 @@ let broadcast_update p (u : Protocol.update) =
     end
   | Some subscribers -> (
     match subscribers u.loc with
-    | None ->
-      for dst = 0 to p.rt.cfg.Config.procs - 1 do
-        send_to dst
-      done
-    | Some subs -> List.iter send_to (List.sort_uniq compare subs))
+    | None -> send_all ()
+    | Some subs ->
+      List.iter
+        (fun dst ->
+          if dst <> p.id then node.sent_updates.(dst) <- node.sent_updates.(dst) + 1;
+          send_to dst)
+        (List.sort_uniq compare subs))
 
 (* sharded mode: credit the barrier count vectors for every subscriber
    (they all eventually receive the update via the tree) and send it to
@@ -1263,30 +1303,49 @@ let barrier_generic p ~members ~episode ~kind =
     p.rt.cfg.Config.multicast <> None || p.rt.cfg.Config.placement <> None
   in
   timed p p.rt.hot.h_barrier (fun () ->
-      send p.rt ~src:p.id ~dst:0
+      let sent =
+        (* this process's nonzero cumulative counts, as (receiver, sender,
+           count) entries *)
+        if not counts_mode then []
+        else begin
+          let acc = ref [] in
+          for r = Array.length node.sent_updates - 1 downto 0 do
+            let c = node.sent_updates.(r) in
+            if c > 0 then acc := (r, p.id, c) :: !acc
+          done;
+          if node.broadcast_sent > 0 then
+            (Protocol.everyone, p.id, node.broadcast_sent) :: !acc
+          else !acc
+        end
+      in
+      send p.rt ~src:p.id
+        ~dst:
+          (Barrier_manager.first_hop ~n:p.rt.cfg.Config.procs ~members p.id)
         (Protocol.Barrier_arrive
            {
              proc = p.id;
              episode;
-             vc = Replica.applied node.replica;
              members;
-             sent = (if counts_mode then Array.copy node.sent_updates else [||]);
+             vc = (if counts_mode then [||] else Replica.applied node.replica);
+             sent;
            });
       Replica.wait_until node.replica ~hint:Replica.Clock (fun () ->
           match Hashtbl.find_opt node.released (members, episode) with
           | Some (dep, expect) ->
-            if expect = [||] then Replica.dep_satisfied node.replica dep
-            else begin
+            if counts_mode then
               (* Section 6's count scheme: proceed once this node has
                  received as many updates from each peer as the barrier
-                 manager counted *)
-              let received = Replica.received node.replica in
-              let ok = ref true in
-              Array.iteri (fun j c -> if received.(j) < c then ok := false) expect;
-              !ok
-            end
+                 root counted *)
+              List.for_all
+                (fun (j, c) -> Replica.received_from node.replica j >= c)
+                expect
+            else Replica.dep_satisfied node.replica dep
           | None -> false);
       Hashtbl.remove node.released (members, episode);
+      if members = [] then begin
+        node.barriers_passed <- node.barriers_passed + 1;
+        serve_deferred_fetches p.rt p.id
+      end;
       record_finish p token kind;
       let args = [ ("episode", string_of_int episode) ] in
       let args =

@@ -134,6 +134,15 @@ val resident_objects : t -> proc:int -> int
     (sharded placement only; 0 otherwise). *)
 val fetch_count : t -> int
 
+(** [control_wire_bytes cfg ~dst msg] is the modelled wire size of the
+    control message [msg] sent to node [dst]: [cfg.control_bytes] plus
+    8 bytes per transmitted int. A barrier arrival pays [8 * |vc|], 16
+    per count entry of its own process (the sender is implied) and 24
+    per entry it forwards for its subtree; a release pays [8 * |dep|],
+    16 per entry for [dst] itself and 24 per entry it carries on for
+    [dst]'s subtree. *)
+val control_wire_bytes : Config.t -> dst:int -> Protocol.msg -> int
+
 (** [wait_summaries t] gives the distribution of blocking time per
     operation kind ("read", "write_lock", "barrier", ...). Backed by the
     [mc_wait_us] histograms of {!metrics}. *)

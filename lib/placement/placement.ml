@@ -147,24 +147,20 @@ let subscriptions t ~node = sorted_members t.node_subs node
 let home t ~shard =
   match subscribers t ~shard with [] -> None | least :: _ -> Some least
 
-(* k-ary heap layout over the subscriber list rotated so [root] leads:
-   the node at index i forwards to indices k*i+1 .. k*i+k. Rotation (not
-   re-sorting) keeps the layout deterministic per (shard, root). *)
+(* k-ary heap layout ({!Mc_util.Heap_tree}) over the subscriber list
+   rotated so [root] leads. Rotation (not re-sorting) keeps the layout
+   deterministic per (shard, root). *)
 let build_tree t ~shard ~root =
   let subs = subscribers t ~shard in
   let order = root :: List.filter (fun n -> n <> root) subs in
   let arr = Array.of_list order in
   let len = Array.length arr in
-  let k = t.t_fanout in
   let tbl = Hashtbl.create (max 8 len) in
   Array.iteri
     (fun i node ->
-      let first = (k * i) + 1 in
-      let last = min len (first + k) in
-      let rec take j acc =
-        if j >= last then List.rev acc else take (j + 1) (arr.(j) :: acc)
-      in
-      Hashtbl.replace tbl node (take first []))
+      Hashtbl.replace tbl node
+        (List.map (Array.get arr)
+           (Mc_util.Heap_tree.children ~fanout:t.t_fanout ~size:len i)))
     arr;
   tbl
 

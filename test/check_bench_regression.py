@@ -12,8 +12,8 @@ Two kinds of bands:
 * throughput metrics (higher is better): fail when the fresh value
   drops more than ``--tolerance`` (default 25%) below the baseline;
   improvements always pass.
-* deterministic metrics (seeded sim results -- sim time, message and
-  fetch counts): fail when they drift more than the tolerance in either
+* deterministic metrics (seeded sim results -- sim time, message,
+  byte and fetch counts): fail when they drift more than the tolerance in either
   direction. These should be bit-identical for an unchanged simulation,
   so the band only absorbs intentional re-baselining noise.
 
@@ -46,7 +46,14 @@ DETERMINISTIC = {
     "EXP-SHARD": (
         "runs",
         ("procs", "objects", "writes", "rounds", "mode"),
-        ("sim_time", "update_messages", "resident_max", "fetches"),
+        (
+            "sim_time",
+            "messages",
+            "update_messages",
+            "bytes",
+            "resident_max",
+            "fetches",
+        ),
     ),
 }
 

@@ -169,6 +169,31 @@ let test_barrier_multiple_episodes () =
   let sorted = List.sort compare rounds in
   Alcotest.(check (list int)) "rounds complete in order" sorted rounds
 
+(* P = 64 exceeds the barrier tree's star (fan-out 32), so clocks
+   combine through inner nodes; the Fig. 2 solver must still match its
+   sequential reference exactly *)
+let test_barrier_tree_app () =
+  let module Solver = Mc_apps.Linear_solver in
+  let procs = 64 in
+  let problem = Solver.Problem.generate ~seed:5 ~n:(procs - 1) in
+  let _, rt = make ~procs ~record:false () in
+  let res =
+    Solver.launch ~spawn:(Mc_dsm.Api.spawn rt) ~procs
+      ~variant:Solver.Barrier_pram ~max_iters:3 problem
+  in
+  ignore (run rt);
+  let r = Option.get !res in
+  let expected =
+    Solver.reference ~variant:Solver.Barrier_pram ~max_iters:3 problem
+  in
+  check_int "iterations" expected.Solver.iterations r.Solver.iterations;
+  Alcotest.(check (array int)) "exact solution" expected.Solver.x r.Solver.x;
+  let by_kind = Network.messages_by_kind (Runtime.network rt) in
+  let count kind = Option.value ~default:0 (List.assoc_opt kind by_kind) in
+  check "P - 1 arrivals per release fan-out" true
+    (count "barrier_arrive" > 0 && count "barrier_arrive" = count "barrier_release");
+  check_int "whole episodes" 0 (count "barrier_arrive" mod (procs - 1))
+
 let test_await_pram_label () =
   let _, rt = make ~procs:2 ~await_label:Op.PRAM () in
   let seen = ref false in
@@ -316,6 +341,8 @@ let () =
         [
           Alcotest.test_case "phases separated" `Quick test_barrier_separates_phases;
           Alcotest.test_case "multiple episodes" `Quick test_barrier_multiple_episodes;
+          Alcotest.test_case "tree-combined clocks at P=64" `Quick
+            test_barrier_tree_app;
         ] );
       ( "awaits",
         [ Alcotest.test_case "pram-labelled await" `Quick test_await_pram_label ] );

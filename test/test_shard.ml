@@ -352,6 +352,138 @@ let test_solver_sharded_differential () =
   in
   check "resident state shrank" true (max_resident rt_sh < max_resident rt_full)
 
+(* ------------------------------------------------------------------ *)
+(* Barrier combining tree: sharded vs full replication, and scaling    *)
+(* ------------------------------------------------------------------ *)
+
+(* Neighbour exchange over one range shard per process, each node
+   subscribed to its own shard and its clockwise neighbour's: every
+   round a process writes two slots of its shard, crosses a barrier,
+   reads its neighbour's slots (local under placement) and the next
+   one's (a fetch), and crosses a second barrier. Returns each
+   process's checksum of its reads and the runtime; [barrier_bytes]
+   accumulates the wire bytes of barrier messages. [`Clocks] is full
+   replication with vector timestamps, [`Counts] full replication by
+   count-mode broadcast (every sender reports one [everyone] count),
+   [`Sharded] the placement above. *)
+let rounds = 3 and slots = 2
+
+let barrier_exchange ?barrier_bytes ~procs ~routing ~check_online () =
+  let sharded = routing = `Sharded in
+  let objects = procs * slots in
+  let loc id = "e:" ^ string_of_int id in
+  let value ~proc ~round ~k = (((round * slots) + k) * procs) + proc + 1 in
+  let placement =
+    if not sharded then None
+    else begin
+      let pl = P.create ~shards:procs ~policy:(P.Range { objects }) () in
+      for i = 0 to procs - 1 do
+        P.subscribe pl ~node:i ~shard:i;
+        P.subscribe pl ~node:i ~shard:((i + 1) mod procs)
+      done;
+      Some pl
+    end
+  in
+  let cfg =
+    {
+      (Config.default ~procs) with
+      placement;
+      multicast = (if routing = `Counts then Some (fun _ -> None) else None);
+      check_online;
+      timestamped_updates = routing = `Clocks;
+    }
+  in
+  (* 5-90 us links, except that every seventh process (3, 10, ...; never
+     the barrier root) hears slowly from the two processes it reads: its
+     barrier, and any home serving their shards, must wait for those
+     updates *)
+  let latency =
+    Latency.matrix
+      (Array.init procs (fun src ->
+           Array.init procs (fun dst ->
+               let reads_from k = src = (dst + k) mod procs in
+               if dst mod 7 = 3 && (reads_from 1 || reads_from 2) then 2500.
+               else float_of_int (5 + (((7 * src) + (13 * dst)) mod 86)))))
+  in
+  let rt = Runtime.create (Engine.create ()) ~latency cfg in
+  let sums = Array.make procs 0 in
+  for i = 0 to procs - 1 do
+    Api.spawn rt i (fun (api : Api.t) ->
+        for round = 0 to rounds - 1 do
+          for k = 0 to slots - 1 do
+            api.write (loc ((i * slots) + k)) (value ~proc:i ~round ~k)
+          done;
+          api.barrier ();
+          for k = 0 to slots - 1 do
+            let near = (i + 1) mod procs and far = (i + 2) mod procs in
+            sums.(i) <-
+              sums.(i)
+              + api.read ~label:Op.PRAM (loc ((near * slots) + k))
+              + api.read ~label:Op.PRAM (loc ((far * slots) + k))
+          done;
+          api.barrier ()
+        done)
+  done;
+  (match barrier_bytes with
+  | Some total ->
+    Network.set_observer (Runtime.network rt)
+      (fun ~src:_ ~dst:_ ~bytes ~kind ~seq:_ ~sent:_ ~recv:_ _ ->
+        if kind = "barrier_arrive" || kind = "barrier_release" then
+          total := !total + bytes)
+  | None -> ());
+  ignore (Runtime.run rt);
+  (sums, rt)
+
+let expected_sums ~procs =
+  Array.init procs (fun i ->
+      let sum = ref 0 in
+      for round = 0 to rounds - 1 do
+        for k = 0 to slots - 1 do
+          List.iter
+            (fun j -> sum := !sum + (((((round * slots) + k) * procs) + j) + 1))
+            [ (i + 1) mod procs; (i + 2) mod procs ]
+        done
+      done;
+      !sum)
+
+let test_barrier_tree_differential () =
+  (* P = 100: both barrier flavours run through inner combiners *)
+  let procs = 100 in
+  let full, _ = barrier_exchange ~procs ~routing:`Clocks ~check_online:false () in
+  let counts, _ = barrier_exchange ~procs ~routing:`Counts ~check_online:false () in
+  let sharded, rt = barrier_exchange ~procs ~routing:`Sharded ~check_online:false () in
+  Alcotest.(check (array int)) "closed form" (expected_sums ~procs) full;
+  Alcotest.(check (array int)) "broadcast counts = clocks, per process" full counts;
+  Alcotest.(check (array int)) "sharded = full, per process" full sharded;
+  check "far reads were fetched" true (Runtime.fetch_count rt > 0);
+  (* the streaming checker tracks at most 61 processes: check the tree
+     (P > 33) at the largest size it accepts *)
+  let procs = 60 in
+  let full, rt_f = barrier_exchange ~procs ~routing:`Clocks ~check_online:true () in
+  let sharded, rt_s = barrier_exchange ~procs ~routing:`Sharded ~check_online:true () in
+  Alcotest.(check (array int)) "sharded = full at P=60" full sharded;
+  List.iter
+    (fun (name, rt) ->
+      let chk = Option.get (Runtime.online_checker rt) in
+      check_int (name ^ ": no online failures") 0 (List.length (Online.failures chk)))
+    [ ("full", rt_f); ("sharded", rt_s) ]
+
+let test_barrier_bytes_scale () =
+  (* count-mode barrier bytes per episode grow near-linearly in P *)
+  let per_episode procs =
+    let bytes = ref 0 in
+    ignore
+      (barrier_exchange ~barrier_bytes:bytes ~procs ~routing:`Sharded
+         ~check_online:false ());
+    !bytes / (2 * rounds)
+  in
+  let b64 = per_episode 64 and b256 = per_episode 256 and b1024 = per_episode 1024 in
+  let ratio a b = float_of_int b /. float_of_int a in
+  check (Printf.sprintf "bytes(256)/bytes(64) = %.2f <= 5" (ratio b64 b256)) true
+    (ratio b64 b256 <= 5.0);
+  check (Printf.sprintf "bytes(1024)/bytes(256) = %.2f <= 5" (ratio b256 b1024)) true
+    (ratio b256 b1024 <= 5.0)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "shard"
@@ -373,5 +505,12 @@ let () =
         [
           Alcotest.test_case "sharded = full replication" `Quick
             test_solver_sharded_differential;
+        ] );
+      ( "barrier tree",
+        [
+          Alcotest.test_case "sharded = full at P=100" `Quick
+            test_barrier_tree_differential;
+          Alcotest.test_case "bytes per episode scale" `Quick
+            test_barrier_bytes_scale;
         ] );
     ]
