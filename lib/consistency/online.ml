@@ -20,18 +20,25 @@
    the writer's summary, because either operation may be retired by the
    time the read arrives.
 
-   State is reclaimed through runtime stability notifications: when a
-   value is dead (superseded at every replica, so no future operation can
-   read it) its writer summaries and their interposer lists are dropped;
-   when the initial value of a location is dead the location's
-   virtual-initial-write interposer list is dropped too. *)
+   State is reclaimed through stability notifications: when a value is
+   dead (no future operation can read it) its writer summaries and their
+   interposer lists are dropped; when the initial value of a location is
+   dead the location's virtual-initial-write interposer list is dropped
+   too. A live run learns of dead values from the runtime's sweeps (at
+   every unlock, barrier and await completion: superseded at every
+   replica); a replay derives them from the history itself. Together
+   with O(1) interposer registration this keeps the per-op cost
+   independent of the run's length. *)
 
 module Stream = Mc_history.Stream
 module History = Mc_history.History
 module Op = Mc_history.Op
 
-(* An operation that touched a location: potential interposer. Kept in
-   ascending id order so the first match reproduces the offline scan. *)
+(* An operation that touched a location: potential interposer. Lists of
+   touchers are kept newest-registered first (an O(1) cons per
+   registration). Registration follows finalization order, which need
+   not be id order, so a diagnostic takes the smallest eligible id to
+   reproduce the offline scan's first match. *)
 type toucher = {
   f_id : int;
   f_chain : int;
@@ -49,12 +56,12 @@ type summary = {
   s_chain : int;
   s_rank : int;
   s_clk : int array array; (* inclusive clocks, per family *)
-  mutable s_followers : toucher list; (* ascending id *)
+  mutable s_followers : toucher list; (* newest first *)
 }
 
 type lstate = {
   mutable li_dead : bool; (* initial value is dead *)
-  mutable li_touchers : toucher list; (* ascending id *)
+  mutable li_touchers : toucher list; (* newest first *)
   mutable li_values : Op.value list; (* values with live summaries *)
 }
 
@@ -313,10 +320,15 @@ let values_at (o : Op.t) loc =
   in
   add (add [] (Op.writes_value o)) (Op.reads_value o)
 
-let rec insert_toucher fo = function
-  | [] -> [ fo ]
-  | x :: rest as l ->
-    if fo.f_id < x.f_id then fo :: l else x :: insert_toucher fo rest
+(* the smallest-id toucher satisfying [p]: the offline scan's first
+   match, whatever order the touchers were registered in *)
+let min_toucher p l =
+  List.fold_left
+    (fun acc fo ->
+      if not (p fo) then acc
+      else
+        match acc with Some b when b.f_id < fo.f_id -> acc | _ -> Some fo)
+    None l
 
 let rec insert_summary s = function
   | [] -> [ s ]
@@ -333,41 +345,31 @@ let verdict t (op : Op.t) strict ~loc ~value ~fam =
   let eligible fo =
     fo.f_id <> op.id && rel_to_r fo.f_chain fo.f_rank && keep fo && bad fo
   in
-  let interposed w =
-    List.find_opt
-      (fun fo -> fo.f_mask land (1 lsl fam) <> 0 && eligible fo)
-      w.s_followers
-  in
+  let interposes fo = fo.f_mask land (1 lsl fam) <> 0 && eligible fo in
   let cands =
     match Hashtbl.find_opt t.sums (loc, value) with
     | Some l -> List.filter (fun w -> rel_to_r w.s_chain w.s_rank) !l
     | None -> []
   in
-  let rec first_valid = function
-    | [] -> None
-    | w :: rest ->
-      if interposed w = None then Some w else first_valid rest
-  in
-  match first_valid cands with
-  | Some _ -> Read_rule.Valid
-  | None -> (
-    if value = 0 then
-      (* virtual initial write: every toucher of the location counts *)
-      let touchers =
-        match Hashtbl.find_opt t.locs loc with
-        | Some ls -> ls.li_touchers
-        | None -> []
-      in
-      match List.find_opt eligible touchers with
-      | None -> Read_rule.Valid
+  if List.exists (fun w -> not (List.exists interposes w.s_followers)) cands
+  then Read_rule.Valid
+  else if value = 0 then
+    (* virtual initial write: every toucher of the location counts *)
+    let touchers =
+      match Hashtbl.find_opt t.locs loc with
+      | Some ls -> ls.li_touchers
+      | None -> []
+    in
+    match min_toucher eligible touchers with
+    | None -> Read_rule.Valid
+    | Some fo -> Read_rule.Overwritten fo.f_id
+  else
+    match cands with
+    | [] -> Read_rule.No_matching_write
+    | w :: _ -> (
+      match min_toucher interposes w.s_followers with
       | Some fo -> Read_rule.Overwritten fo.f_id
-    else
-      match cands with
-      | [] -> Read_rule.No_matching_write
-      | w :: _ -> (
-        match interposed w with
-        | Some fo -> Read_rule.Overwritten fo.f_id
-        | None -> assert false))
+      | None -> assert false)
 
 (* --- the read rule on a fetch snapshot (partial view) ---------------- *)
 
@@ -611,7 +613,7 @@ let finalize t (info : Stream.info) =
       in
       let ls = lstate t loc in
       if not ls.li_dead then
-        ls.li_touchers <- insert_toucher (base 0) ls.li_touchers;
+        ls.li_touchers <- base 0 :: ls.li_touchers;
       List.iter
         (fun v' ->
           match Hashtbl.find_opt t.sums (loc, v') with
@@ -625,7 +627,7 @@ let finalize t (info : Stream.info) =
                       mask := !mask lor (1 lsl f)
                   done;
                   if !mask <> 0 then
-                    w.s_followers <- insert_toucher (base !mask) w.s_followers
+                    w.s_followers <- base !mask :: w.s_followers
                 end)
               !l
           | None -> ())

@@ -63,7 +63,10 @@ val engine : t -> Mc_history.Stream.t
 
 (** [check ?groups ?model h] replays a materialized history through a
     fresh checker. When [groups] is omitted the groups are harvested
-    from the history's read labels. *)
+    from the history's read labels. The replay reclaims a value's state
+    once its last reader and writer have finalized (see
+    {!Mc_history.Stream.replay}), so its per-op cost does not grow with
+    the history's length. *)
 val check : ?groups:int list list -> ?model:Lattice.t -> Mc_history.History.t -> t
 
 (** Invalid reads seen so far, in ascending id order — equal to

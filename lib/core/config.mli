@@ -41,8 +41,9 @@ type t = {
       (** validate every read at response time with the streaming
           checker ([Mc_consistency.Online]) subscribed to the recorder;
           the runtime forwards stability notifications (values
-          superseded at every replica) so checker memory is bounded by
-          the in-flight window. Independent of [record]: with [record]
+          superseded at every replica), swept at every unlock, barrier
+          and await completion, so checker memory is bounded by the
+          in-flight window. Independent of [record]: with [record]
           false the recorder runs in streaming-only mode and
           [Runtime.history] is unavailable. *)
   check_model : Mc_consistency.Lattice.t option;

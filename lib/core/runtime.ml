@@ -646,6 +646,9 @@ let value_visible t loc v =
   in
   Array.exists visible_at t.nodes
 
+(* Run at every unlock, barrier and await completion (one per
+   synchronization order of Section 3.1) and at run end; a no-op
+   without the online checker. *)
 let stability_sweep t =
   match t.recorder with
   | Some r
@@ -1418,7 +1421,8 @@ let await p loc v =
       let numeric, tag = view () in
       record_finish p token
         (Op.Await { loc; value = recorded_value ~numeric ~tag });
-      trace_span p ~t0 ~args:[ ("loc", loc) ] "await")
+      trace_span p ~t0 ~args:[ ("loc", loc) ] "await");
+  stability_sweep p.rt
 
 let compute p cost =
   Metrics.Counter.incr p.rt.hot.c_compute;

@@ -62,9 +62,9 @@ val run : t -> float
 
 (** The streaming consistency checker subscribed to the recorder when
     [config.check_online] is set: every read is validated at response
-    time, and the runtime's stability sweeps (at barrier and unlock
-    completions, from the replicas' applied vectors) let the checker
-    reclaim state for values that are superseded everywhere. *)
+    time, and the runtime's stability sweeps (at every unlock, barrier
+    and await completion, from the replicas' applied vectors) let the
+    checker reclaim state for values that are superseded everywhere. *)
 val online_checker : t -> Mc_consistency.Online.t option
 
 (** {1 Memory operations} *)

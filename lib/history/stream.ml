@@ -110,7 +110,7 @@ type lockstate = {
 type vstate = {
   mutable v_writers : int list;
   mutable v_parked : int list; (* completed readers awaiting the writer *)
-  mutable v_pending : int; (* completed, not yet finalized readers *)
+  mutable v_pending : int; (* completed, not yet finalized readers and writers *)
   mutable v_dead : bool;
   mutable v_dead_sent : bool;
 }
@@ -222,6 +222,17 @@ let send_dead t loc value vs =
     t.cb.on_dead_value ~loc ~value
   end
 
+(* a reader or writer of the value finalized: deliver a held stability
+   notification once none is left *)
+let settle t = function
+  | Some (loc, v) -> (
+    match Hashtbl.find_opt t.values (loc, v) with
+    | Some vs ->
+      vs.v_pending <- vs.v_pending - 1;
+      if vs.v_dead && vs.v_pending <= 0 then send_dead t loc v vs
+    | None -> ())
+  | None -> ()
+
 let finalize t (n : node) =
   n.n_final <- true;
   t.n_finalized <- t.n_finalized + 1;
@@ -229,14 +240,8 @@ let finalize t (n : node) =
     { op = n.n_op; chain = n.n_chain; rank = n.n_rank; in_edges = n.n_in };
   List.iter (function U s | S s -> decref t s | RF _ -> ()) n.n_in;
   n.n_in <- [];
-  (match Op.reads_value n.n_op with
-  | Some (loc, v) -> (
-    match Hashtbl.find_opt t.values (loc, v) with
-    | Some vs ->
-      vs.v_pending <- vs.v_pending - 1;
-      if vs.v_dead && vs.v_pending <= 0 then send_dead t loc v vs
-    | None -> ())
-  | None -> ());
+  settle t (Op.reads_value n.n_op);
+  settle t (Op.writes_value n.n_op);
   List.iter
     (fun d ->
       let dn = node t d in
@@ -609,6 +614,7 @@ let handle_op t (op : Op.t) =
   (match Op.writes_value op with
   | Some (loc, v) ->
     let vs = vstate t loc v in
+    vs.v_pending <- vs.v_pending + 1;
     vs.v_writers <- op.id :: vs.v_writers;
     List.iter
       (fun rid ->
@@ -704,9 +710,42 @@ let sink t =
     ~on_close:(fun () -> handle_close t)
     (fun op -> handle_op t op)
 
+(* Stability of a replayed history. Its future is known, so a value is
+   dead once the last operation that reads or writes it has completed;
+   [handle_dead] then holds the notification until those operations
+   have finalized. The initial value of a location nobody reads as 0
+   dies with the location's first operation. Counter locations are
+   exempt, as in the runtime: decrements may install a value twice.
+   Returns, per op id, the values that die when that op completes. *)
+let replay_deaths h =
+  let n = History.length h in
+  let last = Hashtbl.create 64 and counters = Hashtbl.create 8 in
+  Array.iter
+    (fun (o : Op.t) ->
+      let touch = function
+        | Some (loc, v) ->
+          if not (Hashtbl.mem last (loc, 0)) then
+            Hashtbl.replace last (loc, 0) o.id;
+          Hashtbl.replace last (loc, v) o.id
+        | None -> ()
+      in
+      (match o.kind with
+      | Op.Decrement { loc; _ } -> Hashtbl.replace counters loc ()
+      | _ -> ());
+      touch (Op.reads_value o);
+      touch (Op.writes_value o))
+    (History.ops h);
+  let deaths = Array.make n [] in
+  Hashtbl.iter
+    (fun (loc, v) id ->
+      if not (Hashtbl.mem counters loc) then deaths.(id) <- (loc, v) :: deaths.(id))
+    last;
+  deaths
+
 let replay t h =
   if History.procs h > t.n_procs then
     invalid_arg "Stream.replay: history has more processes than the engine";
+  let deaths = replay_deaths h in
   let evs = Array.make (History.procs h) [] in
   Array.iter
     (fun (o : Op.t) ->
@@ -736,6 +775,9 @@ let replay t h =
             progress := true
           | (_, `Resp (o : Op.t)) :: rest when o.id = !next_id ->
             handle_op t o;
+            List.iter
+              (fun (loc, value) -> handle_dead t ~loc ~value)
+              deaths.(o.id);
             incr next_id;
             cell := rest;
             progress := true

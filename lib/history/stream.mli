@@ -49,7 +49,7 @@ type callbacks = {
           dropped by consumers that mirror engine residence *)
   on_dead_value : loc:Op.location -> value:Op.value -> unit;
       (** forwarded stability notification: no op will read this value
-          again and all its past readers have finalized *)
+          again and all its past readers and writers have finalized *)
   on_end : unit -> unit;  (** the stream is complete *)
 }
 
@@ -66,8 +66,13 @@ val sink : t -> Sink.t
 
 (** [replay t h] replays a materialized history through the engine
     (invocations in process order, responses gated on id order) and
-    closes it. Raises [Invalid_argument] if the history's event
-    sequencing is inconsistent or its causality cyclic. *)
+    closes it. A replayed history's future is known, so the replay also
+    issues the stability notifications itself: a value is dead once the
+    last operation reading or writing it has completed (counter
+    locations excepted), and [on_dead_value] follows once those
+    operations have finalized. Raises [Invalid_argument] if the
+    history's event sequencing is inconsistent or its causality
+    cyclic. *)
 val replay : t -> History.t -> unit
 
 (** [feed_history ~callbacks h] is {!replay} on a fresh engine. *)

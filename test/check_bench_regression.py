@@ -13,9 +13,10 @@ Two kinds of bands:
   drops more than ``--tolerance`` (default 25%) below the baseline;
   improvements always pass.
 * deterministic metrics (seeded sim results -- sim time, message,
-  byte and fetch counts): fail when they drift more than the tolerance in either
-  direction. These should be bit-identical for an unchanged simulation,
-  so the band only absorbs intentional re-baselining noise.
+  byte and fetch counts; checker state counts and allocated words):
+  fail when they drift more than the tolerance in either direction.
+  These should be bit-identical for an unchanged simulation, so the
+  band only absorbs intentional re-baselining noise.
 
 Additionally, when the baseline carries an EXP-OBS-SHARD section, its
 observe=off acceptance gate (``gate_pass``) must hold: the committed
@@ -53,6 +54,18 @@ DETERMINISTIC = {
             "bytes",
             "resident_max",
             "fetches",
+        ),
+    ),
+    # the await-synchronized handshake series: checker state or replay
+    # allocation that grows with the run shows as drift on the long rows
+    "EXP-ONLINE": (
+        "await_runs",
+        ("procs", "n", "max_iters"),
+        (
+            "ops",
+            "online_window_high_water",
+            "online_live_summaries_peak",
+            "replay_words_per_op",
         ),
     ),
 }

@@ -19,6 +19,7 @@ module Dsl = Mc_history.Dsl
 module Mixed = Mc_consistency.Mixed
 module Online = Mc_consistency.Online
 module Read_rule = Mc_consistency.Read_rule
+module Lattice = Mc_consistency.Lattice
 module Hb = Mc_analysis.Hb
 
 let check = Alcotest.(check bool)
@@ -445,6 +446,114 @@ let test_stability_reclaims () =
   check "window bounded" true
     (stats.Online.max_resident < stats.Online.ops_checked / 4)
 
+(* the highest [live_summaries] an await-only ping-pong of [rounds]
+   rounds shows mid-run, sampled by process 0 after every round *)
+let await_pingpong_peak rounds =
+  let peak = ref 0 in
+  ignore
+    (run_checked ~procs:2 (fun rt _ ->
+         let chk = Option.get (Runtime.online_checker rt) in
+         Runtime.spawn_process rt 0 (fun p ->
+             for r = 1 to rounds do
+               Runtime.write p "x" r;
+               Runtime.await p "y" r;
+               ignore (Runtime.read p ~label:Op.Causal "y");
+               peak := max !peak (Online.stats chk).Online.live_summaries
+             done);
+         Runtime.spawn_process rt 1 (fun p ->
+             for r = 1 to rounds do
+               Runtime.await p "x" r;
+               ignore (Runtime.read p ~label:Op.Causal "x");
+               Runtime.write p "y" r
+             done)));
+  !peak
+
+let test_await_sweeps_bounded () =
+  (* awaits are a synchronization order of their own (Section 3.1): a
+     run synchronized only by awaits must reclaim checker state while it
+     runs, so the mid-run peak does not grow with the run's length *)
+  let p20 = await_pingpong_peak 20 and p80 = await_pingpong_peak 80 in
+  check "some summary live mid-run" true (p20 > 0);
+  check_int "peak live summaries at 80 rounds = at 20" p20 p80
+
+let test_interposer_smallest_id () =
+  (* the eligible interposers of one read register with the checker in
+     finalization order, which here differs from id order: a read parks
+     until the writer of its value finalizes. Both reads below are
+     overwritten by several operations; the diagnostic must name the
+     smallest id, like the offline scan, not the first or last
+     registered. Ids run through process 0's ops, then 1's, then 2's. *)
+  let same h =
+    let offline =
+      List.map
+        (fun (f : Lattice.failure) -> (f.read_id, f.verdict))
+        (Lattice.failures h Lattice.Mixed)
+    in
+    let online =
+      List.map
+        (fun (f : Mixed.failure) -> (f.read_id, f.verdict))
+        (Online.failures (Online.check h))
+    in
+    (offline, online)
+  in
+  (* a written value: interposers 5 (w x 2), 7 (w x 3), 1 (own read of
+     3, parked on 7) and 2 (w x 4) register in that order *)
+  let h =
+    Dsl.make ~procs:3
+      [
+        [ Dsl.w "x" 1; Dsl.rc "x" 3; Dsl.w "x" 4; Dsl.rc "x" 1 ];
+        [ Dsl.rc "x" 1; Dsl.w "x" 2 ];
+        [ Dsl.rc "x" 2; Dsl.w "x" 3 ];
+      ]
+  in
+  let offline, online = same h in
+  check "written value: offline names op 1" true
+    (offline = [ (3, Read_rule.Overwritten 1) ]);
+  check "written value: online = offline" true (online = offline);
+  (* the virtual initial write: 3 (w x 2), 5 (w x 3), 0 (own read of 3,
+     parked on 5) and 1 (w x 4) register in that order *)
+  let h =
+    Dsl.make ~procs:3
+      [
+        [ Dsl.rc "x" 3; Dsl.w "x" 4; Dsl.rc "x" 0 ];
+        [ Dsl.w "x" 2 ];
+        [ Dsl.rc "x" 2; Dsl.w "x" 3 ];
+      ]
+  in
+  let offline, online = same h in
+  check "initial value: offline names op 0" true
+    (offline = [ (2, Read_rule.Overwritten 0) ]);
+  check "initial value: online = offline" true (online = offline)
+
+(* minor words per op that the offline replay of a recorded Fig. 3
+   handshake-solver run allocates; allocation counts are deterministic *)
+let replay_words_per_op ~max_iters =
+  let procs = 4 in
+  let engine = Engine.create () in
+  let rt =
+    Runtime.create engine { (Config.default ~procs) with record = true }
+  in
+  ignore
+    (Solver.launch ~spawn:(Api.spawn rt) ~procs
+       ~variant:Solver.Handshake_causal ~max_iters ~tol:0
+       (Solver.Problem.generate ~seed:42 ~n:16));
+  ignore (Runtime.run rt);
+  let h = Runtime.history rt in
+  let before = Gc.minor_words () in
+  let chk = Online.check h in
+  let words = Gc.minor_words () -. before in
+  check_int "replay is clean" 0 (List.length (Online.failures chk));
+  (History.length h, words /. float_of_int (History.length h))
+
+let test_replay_allocation_linear () =
+  (* per-op checker cost must not grow with the run's length *)
+  let n_short, short = replay_words_per_op ~max_iters:3
+  and n_long, long = replay_words_per_op ~max_iters:12 in
+  Printf.printf "replay words/op: %.1f over %d ops, %.1f over %d ops\n" short
+    n_short long n_long;
+  check "long run at least 3x longer" true (n_long >= 3 * n_short);
+  check "words/op within 10%" true (Float.abs (long -. short) < 0.1 *. short)
+
 (* ------------------------------------------------------------------ *)
 (* Recorder edge cases                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -510,6 +619,8 @@ let () =
           Alcotest.test_case "unregistered group" `Quick
             test_online_rejects_unregistered_group;
           Alcotest.test_case "group harvest" `Quick test_groups_of_history;
+          Alcotest.test_case "smallest-id interposer" `Quick
+            test_interposer_smallest_id;
         ] );
       ("runtime", [ qt online_diff_runtime ]);
       ( "apps",
@@ -523,6 +634,10 @@ let () =
             test_app_cholesky_counters;
           Alcotest.test_case "pipeline awaits" `Quick test_app_pipeline;
           Alcotest.test_case "stability reclaims" `Quick test_stability_reclaims;
+          Alcotest.test_case "await sweeps bound state" `Quick
+            test_await_sweeps_bounded;
+          Alcotest.test_case "replay allocation linear" `Quick
+            test_replay_allocation_linear;
         ] );
       ( "recorder",
         [
