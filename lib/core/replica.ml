@@ -103,8 +103,10 @@ type t = {
   mutable w_clock : watcher list;
   w_loc : (Mc_history.Op.location, watcher list ref) Hashtbl.t;
   mutable next_wseq : int;
-  (* dirty sets accumulated between watcher firings (fast engine) *)
-  dirty_locs : (Mc_history.Op.location, unit) Hashtbl.t;
+  (* fast engine, between watcher firings: the [Loc] watchers of every
+     location changed so far (harvested from [w_loc] at the change) and
+     whether the clock moved *)
+  mutable woken : watcher list;
   mutable dirty_clock : bool;
   group_views : (int list * group_view) list;
   causal_delivery : bool;
@@ -162,7 +164,7 @@ let create engine ~id ~n ?(groups = []) ?(causal_delivery = true)
     w_clock = [];
     w_loc = Hashtbl.create 8;
     next_wseq = 0;
-    dirty_locs = Hashtbl.create 8;
+    woken = [];
     dirty_clock = false;
     group_views = List.map make_group groups;
     causal_delivery;
@@ -237,18 +239,20 @@ let pending_count t =
   (if t.fast then t.n_pending else List.length t.pending)
   + shard_pending_total t
 
+(* [Hashtbl.find] rather than [find_opt]: these run on every receipt
+   and read, and a miss is the rare case *)
 let view_cell view loc =
-  match Hashtbl.find_opt view loc with
-  | Some c -> c
-  | None ->
+  match Hashtbl.find view loc with
+  | c -> c
+  | exception Not_found ->
     let c = { numeric = 0; tag = 0 } in
     Hashtbl.add view loc c;
     c
 
 let read_view view loc =
-  match Hashtbl.find_opt view loc with
-  | Some c -> (c.numeric, c.tag)
-  | None -> (0, 0)
+  match Hashtbl.find view loc with
+  | c -> (c.numeric, c.tag)
+  | exception Not_found -> (0, 0)
 
 let apply_to_view view (u : Protocol.update) =
   let c = view_cell view u.loc in
@@ -282,9 +286,17 @@ let dep_satisfied t dep =
 (* Watcher firing                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Every handler that changes a location ends with [fire_dirty] (or
+   [fire_all]) and installs no watcher in between, so moving the
+   location's watchers out at the change finds exactly the ones a scan of
+   the changed locations at firing time would. *)
 let mark_dirty_loc t loc =
-  if t.fast && not (Hashtbl.mem t.dirty_locs loc) then
-    Hashtbl.add t.dirty_locs loc ()
+  if t.fast && Hashtbl.length t.w_loc > 0 then
+    match Hashtbl.find_opt t.w_loc loc with
+    | Some r ->
+      t.woken <- List.rev_append !r t.woken;
+      Hashtbl.remove t.w_loc loc
+    | None -> ()
 
 let put_back t w =
   match w.hint with
@@ -307,9 +319,9 @@ let fire_candidates t candidates =
     List.iter (fun w -> if w.pred () then w.resume () else put_back t w) sorted
 
 let fire_all t =
-  Hashtbl.reset t.dirty_locs;
   t.dirty_clock <- false;
-  let candidates = ref [] in
+  let candidates = ref t.woken in
+  t.woken <- [];
   candidates := List.rev_append t.w_any !candidates;
   t.w_any <- [];
   candidates := List.rev_append t.w_clock !candidates;
@@ -321,22 +333,14 @@ let fire_all t =
 let fire_dirty t =
   if not t.fast then fire_all t
   else begin
-    let candidates = ref [] in
+    let candidates = ref t.woken in
+    t.woken <- [];
     candidates := List.rev_append t.w_any !candidates;
     t.w_any <- [];
     if t.dirty_clock then begin
       candidates := List.rev_append t.w_clock !candidates;
       t.w_clock <- []
     end;
-    Hashtbl.iter
-      (fun loc () ->
-        match Hashtbl.find_opt t.w_loc loc with
-        | Some r ->
-          candidates := List.rev_append !r !candidates;
-          Hashtbl.remove t.w_loc loc
-        | None -> ())
-      t.dirty_locs;
-    Hashtbl.reset t.dirty_locs;
     t.dirty_clock <- false;
     fire_candidates t !candidates
   end
@@ -526,7 +530,13 @@ let group_receive_ref t g (u : Protocol.update) =
    and is re-examined exactly when that entry advances; a ready head
    enters a two-heap worklist (current pass / next pass, ordered by
    arrival) whose pops follow exactly the reference order. Once queued a
-   head stays deliverable: applied counts only grow. *)
+   head stays deliverable: applied counts only grow.
+
+   The common arrival skips all of this: with nothing buffered, an
+   update that is its writer's head and is not blocked is the only
+   update the rescan could apply, so [receive_one] applies it directly.
+   With nothing buffered no head is parked either, so no wake-up is
+   missed. *)
 
 let pop_ready t =
   if Pqueue.is_empty t.wl_cur then
@@ -549,17 +559,13 @@ let pop_ready t =
    give [dep.(self) <= applied.(self)] at receipt, so parking on self —
    which could never be woken — cannot happen. *)
 let blocking_writer t (u : Protocol.update) =
-  let k = ref (-1) in
-  (try
-     Array.iteri
-       (fun j d ->
-         if j <> u.writer && t.applied_counts.(j) < d then begin
-           k := j;
-           raise Exit
-         end)
-       u.dep
-   with Exit -> ());
-  if !k < 0 then None else Some !k
+  let dep = u.dep in
+  let n = Array.length dep in
+  let j = ref 0 in
+  while !j < n && (!j = u.writer || t.applied_counts.(!j) >= dep.(!j)) do
+    incr j
+  done;
+  if !j < n then Some !j else None
 
 (* examine writer [w]'s head after the state advanced: park it if still
    blocked, otherwise queue it for the pass implied by the enabling
@@ -683,24 +689,33 @@ let receive_one t (u : Protocol.update) =
     if t.fast then begin
       t.arr_counter <- t.arr_counter + 1;
       let arr = t.arr_counter in
-      Hashtbl.add t.buffer (u.writer, u.useq) (u, arr);
-      t.n_pending <- t.n_pending + 1;
-      (* main view: only the arriving writer's head can have become
-         deliverable (applied counts are unchanged by mere receipt) *)
-      if u.useq = t.applied_counts.(u.writer) + 1 then begin
-        check_writer t ~from_arr:(-1) u.writer;
-        run_main_worklist t
+      let in_order = u.useq = t.applied_counts.(u.writer) + 1 in
+      if in_order && t.n_pending = 0 && Option.is_none (blocking_writer t u)
+      then
+        (* direct apply: with nothing buffered, the reference rescan
+           would apply exactly [u] and nothing else *)
+        causal_apply t u
+      else begin
+        Hashtbl.add t.buffer (u.writer, u.useq) (u, arr);
+        t.n_pending <- t.n_pending + 1;
+        (* main view: only the arriving writer's head can have become
+           deliverable (applied counts are unchanged by mere receipt) *)
+        if in_order then begin
+          check_writer t ~from_arr:(-1) u.writer;
+          run_main_worklist t
+        end
       end;
-      List.iter
-        (fun (_, g) ->
-          Hashtbl.add g.g_buffer (u.writer, u.useq) (u, arr);
-          if u.useq = g.g_applied.(u.writer) + 1 then
-            g_check_writer t g ~from_arr:(-1) u.writer;
-          (* the receipt-count advance can unblock heads parked on this
-             (non-member) writer *)
-          g_seed_received t g u.writer;
-          run_group_worklist t g)
-        t.group_views
+      if t.group_views <> [] then
+        List.iter
+          (fun (_, g) ->
+            Hashtbl.add g.g_buffer (u.writer, u.useq) (u, arr);
+            if u.useq = g.g_applied.(u.writer) + 1 then
+              g_check_writer t g ~from_arr:(-1) u.writer;
+            (* the receipt-count advance can unblock heads parked on this
+               (non-member) writer *)
+            g_seed_received t g u.writer;
+            run_group_worklist t g)
+          t.group_views
     end
     else begin
       t.pending <- t.pending @ [ u ];

@@ -719,22 +719,40 @@ let charge p = Engine.delay p.rt.engine p.rt.cfg.Config.op_cost
 (* One Complete span per recorded operation: emitted at exactly the
    call sites that feed the recorder, so a trace's span count equals the
    recorded history's length. [compute] records nothing and traces
-   nothing. *)
-let trace_span p ~t0 ?(args = []) name =
+   nothing. Span arguments and recorded op kinds are built only behind
+   [tracing]/[recording] (or inside the [Some] branch), so a run with
+   neither attached allocates nothing for them. *)
+let tracing p = Option.is_some p.rt.tracer
+let recording p = Option.is_some p.rt.recorder
+
+let trace_span p ~t0 ~args name =
   match p.rt.tracer with
   | Some tr ->
     Trace.span tr ~tid:p.id ~ts:t0 ~dur:(Engine.now p.rt.engine -. t0) ~args name
   | None -> ()
 
-let trace_instant p ?(args = []) name =
+let trace_loc_span p ~t0 loc name =
+  match p.rt.tracer with
+  | Some tr ->
+    Trace.span tr ~tid:p.id ~ts:t0 ~dur:(Engine.now p.rt.engine -. t0)
+      ~args:[ ("loc", loc) ] name
+  | None -> ()
+
+let trace_instant p ~args name =
   match p.rt.tracer with
   | Some tr ->
     Trace.instant tr ~cat:"sync" ~tid:p.id ~ts:(Engine.now p.rt.engine) ~args name
   | None -> ()
 
-let record p kind = Option.map (fun r -> Recorder.record r ~proc:p.id kind) p.rt.recorder
+let record p kind =
+  match p.rt.recorder with
+  | Some r -> ignore (Recorder.record r ~proc:p.id kind)
+  | None -> ()
 
-let record_start p = Option.map (fun r -> Recorder.start r ~proc:p.id) p.rt.recorder
+let record_start p =
+  match p.rt.recorder with
+  | Some r -> Some (Recorder.start r ~proc:p.id)
+  | None -> None
 
 let record_finish p token ?sync_seq kind =
   match p.rt.recorder, token with
@@ -831,8 +849,8 @@ let fetch_read p pl ~label ~shard loc =
     Mc_consistency.Online.note_fetch c ~proc:p.id ~loc ~admissible
       ~zero_ok:(admissible = [])
   | None -> ());
-  ignore
-    (record p (Op.Read { loc; label; value = recorded_value ~numeric ~tag }));
+  if recording p then
+    record p (Op.Read { loc; label; value = recorded_value ~numeric ~tag });
   numeric
 
 let read p ?(label = Op.Causal) loc =
@@ -871,15 +889,15 @@ let read p ?(label = Op.Causal) loc =
             | Op.Causal -> Replica.shard_read node.replica ~shard loc
             | Op.PRAM | Op.Group _ -> Replica.pram_read node.replica loc
           in
-          ignore
-            (record p
-               (Op.Read { loc; label; value = recorded_value ~numeric ~tag }));
-          trace_span p ~t0 ~args:[ ("loc", loc) ] "read";
+          if recording p then
+            record p
+              (Op.Read { loc; label; value = recorded_value ~numeric ~tag });
+          trace_loc_span p ~t0 loc "read";
           numeric
         end
         else begin
           let numeric = fetch_read p pl ~label ~shard loc in
-          trace_span p ~t0 ~args:[ ("loc", loc) ] "fetched_read";
+          trace_loc_span p ~t0 loc "fetched_read";
           numeric
         end)
       | None ->
@@ -902,10 +920,9 @@ let read p ?(label = Op.Causal) loc =
                 "Runtime.read: process is not a member of the read group";
             Replica.group_read node.replica ~group loc
         in
-        ignore
-          (record p
-             (Op.Read { loc; label; value = recorded_value ~numeric ~tag }));
-        trace_span p ~t0 ~args:[ ("loc", loc) ] "read";
+        if recording p then
+          record p (Op.Read { loc; label; value = recorded_value ~numeric ~tag });
+        trace_loc_span p ~t0 loc "read";
         numeric)
 
 (* flush the buffered outbox: a single update goes out as a plain
@@ -925,13 +942,10 @@ let flush_outbox t node_id =
     node.outbox_len <- 0;
     (match buffered with
     | [ u ] ->
-      let bytes = update_wire_bytes t.cfg in
-      let kind = Protocol.kind (Protocol.Update u) in
+      let msg = Protocol.Update u in
       node.broadcast_sent <- node.broadcast_sent + 1;
-      for dst = 0 to t.cfg.Config.procs - 1 do
-        if dst <> node_id then
-          Network.send t.net ~src:node_id ~dst ~bytes ~kind (Protocol.Update u)
-      done
+      Network.broadcast t.net ~src:node_id ~bytes:(update_wire_bytes t.cfg)
+        ~kind:(Protocol.kind msg) msg
     | buffered ->
       let b = Protocol.encode_batch (List.rev buffered) in
       let bytes = batch_wire_bytes t.cfg b in
@@ -942,16 +956,15 @@ let flush_outbox t node_id =
 let broadcast_update p (u : Protocol.update) =
   let node = p.rt.nodes.(p.id) in
   let bytes = update_wire_bytes p.rt.cfg in
-  let kind = Protocol.kind (Protocol.Update u) in
+  (* one message value shared by the whole fan-out *)
+  let msg = Protocol.Update u in
+  let kind = Protocol.kind msg in
   let send_to dst =
-    if dst <> p.id then
-      Network.send p.rt.net ~src:p.id ~dst ~bytes ~kind (Protocol.Update u)
+    if dst <> p.id then Network.send p.rt.net ~src:p.id ~dst ~bytes ~kind msg
   in
   let send_all () =
     node.broadcast_sent <- node.broadcast_sent + 1;
-    for dst = 0 to p.rt.cfg.Config.procs - 1 do
-      send_to dst
-    done
+    Network.broadcast p.rt.net ~src:p.id ~bytes ~kind msg
   in
   match p.rt.cfg.Config.multicast with
   | None ->
@@ -1067,8 +1080,8 @@ let write p loc v =
   let node = p.rt.nodes.(p.id) in
   let t0 = Engine.now p.rt.engine in
   let tag = fresh_tag p in
-  ignore (record p (Op.Write { loc; value = tag }));
-  trace_span p ~t0 ~args:[ ("loc", loc) ] "write";
+  if recording p then record p (Op.Write { loc; value = tag });
+  trace_loc_span p ~t0 loc "write";
   match p.rt.cfg.Config.placement with
   | Some pl ->
     (* write discipline: only subscribers of a shard may write it
@@ -1100,8 +1113,8 @@ let init_counter p loc v =
   let node = p.rt.nodes.(p.id) in
   let t0 = Engine.now p.rt.engine in
   mark_counter_loc p.rt loc;
-  ignore (record p (Op.Write { loc; value = v }));
-  trace_span p ~t0 ~args:[ ("loc", loc) ] "init_counter";
+  if recording p then record p (Op.Write { loc; value = v });
+  trace_loc_span p ~t0 loc "init_counter";
   (* tag 0 marks the location as numerically recorded *)
   match p.rt.cfg.Config.placement with
   | Some pl ->
@@ -1130,23 +1143,23 @@ let decrement p loc ~amount =
   | Some pl ->
     let shard = Mc_placement.Placement.shard_of_loc pl loc in
     let su, observed = Replica.shard_dec node.replica ~shard ~loc ~amount in
-    ignore (record p (Op.Decrement { loc; amount; observed }));
+    if recording p then record p (Op.Decrement { loc; amount; observed });
     shard_route p pl su
   | None ->
     if in_entry_section p then begin
       let observed, _ = Replica.causal_read node.replica loc in
-      ignore (record p (Op.Decrement { loc; amount; observed }));
+      if recording p then record p (Op.Decrement { loc; amount; observed });
       Replica.install_direct node.replica ~loc ~numeric:(observed - amount)
         ~tag:0;
       track_write_set p loc ~numeric:(observed - amount) ~tag:0
     end
     else begin
       let u, observed = Replica.local_dec node.replica ~loc ~amount in
-      ignore (record p (Op.Decrement { loc; amount; observed }));
+      if recording p then record p (Op.Decrement { loc; amount; observed });
       track_write_set p loc ~numeric:(observed - amount) ~tag:0;
       broadcast_update p u
     end);
-  trace_span p ~t0 ~args:[ ("loc", loc) ] "decrement"
+  trace_loc_span p ~t0 loc "decrement"
 
 (* ------------------------------------------------------------------ *)
 (* Locks                                                               *)
@@ -1206,14 +1219,14 @@ let acquire p lock ~write =
         if write then
           node.open_write_sets <-
             (lock, Hashtbl.create 8) :: node.open_write_sets;
-        record_finish p token ~sync_seq:seq
-          (if write then Op.Write_lock lock else Op.Read_lock lock);
-        trace_instant p
-          ~args:[ ("lock", lock); ("seq", string_of_int seq) ]
-          "sync_epoch";
-        trace_span p ~t0
-          ~args:[ ("lock", lock); ("seq", string_of_int seq) ]
-          (if write then "write_lock" else "read_lock")
+        if recording p then
+          record_finish p token ~sync_seq:seq
+            (if write then Op.Write_lock lock else Op.Read_lock lock);
+        if tracing p then begin
+          let args = [ ("lock", lock); ("seq", string_of_int seq) ] in
+          trace_instant p ~args "sync_epoch";
+          trace_span p ~t0 ~args (if write then "write_lock" else "read_lock")
+        end
       | _ -> assert false)
 
 let release p lock ~write =
@@ -1280,11 +1293,13 @@ let release p lock ~write =
             in
             Queue.push resume q)
       in
-      record_finish p token ~sync_seq:seq
-        (if write then Op.Write_unlock lock else Op.Read_unlock lock);
-      trace_span p ~t0
-        ~args:[ ("lock", lock); ("seq", string_of_int seq) ]
-        (if write then "write_unlock" else "read_unlock"));
+      if recording p then
+        record_finish p token ~sync_seq:seq
+          (if write then Op.Write_unlock lock else Op.Read_unlock lock);
+      if tracing p then
+        trace_span p ~t0
+          ~args:[ ("lock", lock); ("seq", string_of_int seq) ]
+          (if write then "write_unlock" else "read_unlock"));
   stability_sweep p.rt
 
 let write_lock p lock = acquire p lock ~write:true
@@ -1296,7 +1311,7 @@ let read_unlock p lock = release p lock ~write:false
 (* Barrier and await                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let barrier_generic p ~members ~episode ~kind =
+let barrier_generic p ~members ~episode =
   (* the arrival's clock and sent counts include buffered updates *)
   flush_outbox p.rt p.id;
   let node = p.rt.nodes.(p.id) in
@@ -1349,16 +1364,22 @@ let barrier_generic p ~members ~episode ~kind =
         node.barriers_passed <- node.barriers_passed + 1;
         serve_deferred_fetches p.rt p.id
       end;
-      record_finish p token kind;
-      let args = [ ("episode", string_of_int episode) ] in
-      let args =
-        if members = [] then args
-        else
-          ("members", String.concat "," (List.map string_of_int members)) :: args
-      in
-      trace_instant p ~args "sync_epoch";
-      trace_span p ~t0 ~args
-        (if members = [] then "barrier" else "barrier_subset"));
+      if recording p then
+        record_finish p token
+          (if members = [] then Op.Barrier episode
+           else Op.Barrier_group { episode; members });
+      if tracing p then begin
+        let args = [ ("episode", string_of_int episode) ] in
+        let args =
+          if members = [] then args
+          else
+            ("members", String.concat "," (List.map string_of_int members))
+            :: args
+        in
+        trace_instant p ~args "sync_epoch";
+        trace_span p ~t0 ~args
+          (if members = [] then "barrier" else "barrier_subset")
+      end);
   stability_sweep p.rt
 
 let barrier p =
@@ -1367,7 +1388,7 @@ let barrier p =
   let node = p.rt.nodes.(p.id) in
   let episode = node.barrier_episode in
   node.barrier_episode <- episode + 1;
-  barrier_generic p ~members:[] ~episode ~kind:(Op.Barrier episode)
+  barrier_generic p ~members:[] ~episode
 
 let barrier_subset p members =
   Metrics.Counter.incr p.rt.hot.c_barrier_subset;
@@ -1387,7 +1408,6 @@ let barrier_subset p members =
   let episode = !counter in
   incr counter;
   barrier_generic p ~members ~episode
-    ~kind:(Op.Barrier_group { episode; members })
 
 let await p loc v =
   Metrics.Counter.incr p.rt.hot.c_await;
@@ -1418,10 +1438,12 @@ let await p loc v =
   timed p p.rt.hot.h_await (fun () ->
       Replica.wait_until node.replica ~hint:(Replica.Loc loc) (fun () ->
           fst (view ()) = v);
-      let numeric, tag = view () in
-      record_finish p token
-        (Op.Await { loc; value = recorded_value ~numeric ~tag });
-      trace_span p ~t0 ~args:[ ("loc", loc) ] "await");
+      if recording p then begin
+        let numeric, tag = view () in
+        record_finish p token
+          (Op.Await { loc; value = recorded_value ~numeric ~tag })
+      end;
+      trace_loc_span p ~t0 loc "await");
   stability_sweep p.rt
 
 let compute p cost =

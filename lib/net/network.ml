@@ -30,6 +30,9 @@ type 'msg t = {
   mutable messages : int;
   mutable bytes : int;
   kinds : Mc_util.Stats.Counters.t;
+  (* [kinds] cells keyed by the physical kind string: senders pass
+     literals, so a hit costs a pointer scan instead of a string hash *)
+  mutable kind_cells : (string * int ref) list;
   mutable latencies : Mc_util.Stats.Summary.t;
   mutable obs : obs option;
   mutable observer : 'msg observer option;
@@ -54,6 +57,7 @@ let create engine ~nodes ~latency ?(send_cost = 0.) ?(byte_cost = 0.) () =
     messages = 0;
     bytes = 0;
     kinds = Mc_util.Stats.Counters.create ();
+    kind_cells = [];
     latencies = Mc_util.Stats.Summary.create ();
     obs = None;
     observer = None;
@@ -93,11 +97,22 @@ let deliver t ~src ~dst msg =
   | None ->
     invalid_arg (Printf.sprintf "Network: node %d has no handler installed" dst)
 
+let kind_cell t kind =
+  match List.assq kind t.kind_cells with
+  | cell -> cell
+  | exception Not_found ->
+    (* an equal string at a new address replaces its entry, so the cache
+       holds at most one entry per distinct kind *)
+    let cell = Mc_util.Stats.Counters.counter t.kinds kind in
+    t.kind_cells <-
+      (kind, cell) :: List.filter (fun (k, _) -> k <> kind) t.kind_cells;
+    cell
+
 let transmit t ~src ~dst ~bytes ~kind msg =
   let link = t.links.(src).(dst) in
   t.messages <- t.messages + 1;
   t.bytes <- t.bytes + bytes;
-  Mc_util.Stats.Counters.incr t.kinds kind;
+  incr (kind_cell t kind);
   let now = Engine.now t.engine in
   (* sender occupancy: consecutive sends from one node serialize *)
   let depart = Float.max now t.send_free.(src) +. t.send_cost in

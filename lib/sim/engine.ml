@@ -22,7 +22,9 @@ type t = {
 (* The currently-running fiber's id, used only for deadlock diagnostics. *)
 let current_fiber : int option ref = ref None
 
-type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
+type _ Effect.t +=
+  | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
+  | Delay : float -> unit Effect.t
 
 let create () =
   {
@@ -63,6 +65,13 @@ let schedule t ~delay f =
 
 let handler t fiber_id name =
   let open Effect.Deep in
+  let self = Some fiber_id in
+  let continue_as_self k v =
+    let saved = !current_fiber in
+    current_fiber := self;
+    continue k v;
+    current_fiber := saved
+  in
   {
     retc = (fun () -> t.live <- t.live - 1);
     exnc =
@@ -87,14 +96,19 @@ let handler t fiber_id name =
                 else begin
                   resumed := true;
                   Hashtbl.remove t.blocked fiber_id;
-                  schedule t ~delay:0. (fun () ->
-                      let saved = !current_fiber in
-                      current_fiber := Some fiber_id;
-                      continue k v;
-                      current_fiber := saved)
+                  schedule t ~delay:0. (fun () -> continue_as_self k v)
                 end
               in
               setup resume)
+        | Delay d ->
+          (* the continuation itself is the timer event: one event per
+             delay, and a sleeping fiber is never "blocked" *)
+          Some
+            (fun (k : (a, _) continuation) ->
+              (match t.obs with
+              | Some o -> Mc_obs.Metrics.Counter.incr o.c_suspends
+              | None -> ());
+              schedule t ~delay:d (fun () -> continue_as_self k ()))
         | _ -> None);
   }
 
@@ -113,9 +127,9 @@ let spawn t ?(name = "fiber") f =
 
 let suspend _t setup = Effect.perform (Suspend setup)
 
-let delay t d =
+let delay _t d =
   if d < 0. then invalid_arg "Engine.delay: negative delay";
-  suspend t (fun resume -> schedule t ~delay:d (fun () -> resume ()))
+  Effect.perform (Delay d)
 
 let check_failure t =
   match t.failure with
@@ -125,7 +139,8 @@ let check_failure t =
   | None -> ()
 
 let step t =
-  let time, action = Mc_util.Pqueue.pop_min t.queue in
+  let time = Mc_util.Pqueue.min_priority t.queue in
+  let action = Mc_util.Pqueue.pop t.queue in
   t.now <- time;
   t.events <- t.events + 1;
   (match t.obs with
@@ -154,9 +169,8 @@ let run t =
 let run_until t ~limit =
   let continue_run = ref true in
   while !continue_run && not (Mc_util.Pqueue.is_empty t.queue) do
-    match Mc_util.Pqueue.peek_min t.queue with
-    | Some (time, _) when time > limit -> continue_run := false
-    | _ -> step t
+    if Mc_util.Pqueue.min_priority t.queue > limit then continue_run := false
+    else step t
   done;
   t.now
 

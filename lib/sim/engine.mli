@@ -40,7 +40,10 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 
 (** [delay t d] suspends the calling fiber for [d] units of virtual time.
-    Must be called from within a fiber. *)
+    Must be called from within a fiber. The delay is a single event: the
+    fiber's continuation is queued at [now + d] when [delay] is called,
+    so fibers delaying to the same instant resume in call order, FIFO
+    with the other events queued for that instant. *)
 val delay : t -> float -> unit
 
 (** [suspend t setup] suspends the calling fiber. [setup] is called

@@ -33,18 +33,22 @@ otherwise.
 import json
 import sys
 
-# section -> (rows key, identity fields, metrics where higher is better)
-THROUGHPUT = {
-    "EXP-DELIVERY": (
+# (section, rows key, identity fields, metrics where higher is better)
+THROUGHPUT = [
+    (
+        "EXP-DELIVERY",
         "drain",
         ("p", "depth"),
         ("fast_updates_per_s", "ref_updates_per_s"),
     ),
-}
+    # in-order arrivals applied on receipt: the full-replication common case
+    ("EXP-DELIVERY", "steady", ("p", "updates"), ("updates_per_s",)),
+]
 
-# section -> (rows key, identity fields, seeded-deterministic metrics)
-DETERMINISTIC = {
-    "EXP-SHARD": (
+# (section, rows key, identity fields, seeded-deterministic metrics)
+DETERMINISTIC = [
+    (
+        "EXP-SHARD",
         "runs",
         ("procs", "objects", "writes", "rounds", "mode"),
         (
@@ -58,7 +62,8 @@ DETERMINISTIC = {
     ),
     # the await-synchronized handshake series: checker state or replay
     # allocation that grows with the run shows as drift on the long rows
-    "EXP-ONLINE": (
+    (
+        "EXP-ONLINE",
         "await_runs",
         ("procs", "n", "max_iters"),
         (
@@ -68,7 +73,9 @@ DETERMINISTIC = {
             "replay_words_per_op",
         ),
     ),
-}
+    # allocation per in-order receipt: the direct-apply path's cost
+    ("EXP-DELIVERY", "steady", ("p", "updates"), ("words_per_update",)),
+]
 
 
 def rows_by_key(doc, section, rows_key, id_fields):
@@ -86,9 +93,9 @@ def check(baseline, fresh, tolerance):
     failures = []
     compared = 0
 
-    def match(section, spec, check_row):
+    def match(spec, check_row):
         nonlocal compared
-        rows_key, id_fields, metrics = spec
+        section, rows_key, id_fields, metrics = spec
         base_rows = rows_by_key(baseline, section, rows_key, id_fields)
         fresh_rows = rows_by_key(fresh, section, rows_key, id_fields)
         for key in sorted(set(base_rows) & set(fresh_rows), key=str):
@@ -115,10 +122,10 @@ def check(baseline, fresh, tolerance):
                 f"{tolerance:.0%} from baseline {b}"
             )
 
-    for section, spec in THROUGHPUT.items():
-        match(section, spec, throughput)
-    for section, spec in DETERMINISTIC.items():
-        match(section, spec, deterministic)
+    for spec in THROUGHPUT:
+        match(spec, throughput)
+    for spec in DETERMINISTIC:
+        match(spec, deterministic)
 
     for run in baseline.get("EXP-OBS-SHARD", {}).get("runs", []):
         if "gate_pass" in run:

@@ -165,6 +165,90 @@ let test_replica_stream_differential () =
       (Replica.pending_count fast)
   done
 
+(* Directed switch between the fast engine's two receive paths. With
+   nothing buffered, an in-order arrival whose dependencies are applied
+   goes straight to the causal view; pausing a link opens a causal gap,
+   so later arrivals are buffered (even deliverable ones, while anything
+   else waits); resuming the link drains the buffer and the next arrivals
+   are direct again. Writers 0, 1 and 3 broadcast; node 2 runs the fast
+   and the reference engine side by side, compared after every delivery.
+   Writers 1 and 3 write [x] concurrently with writer 0's held writes, so
+   the last-writer-wins view exposes any change in apply order. *)
+let test_direct_and_buffered_paths () =
+  let n = 4 and recv = 2 in
+  let e = Engine.create () in
+  let net = Network.create e ~nodes:n ~latency:(Latency.constant 10.) () in
+  let writers = Array.init n (fun id -> Replica.create e ~id ~n ()) in
+  let mk delivery = Replica.create e ~id:recv ~n ~delivery () in
+  let fast = mk Config.Fast and slow = mk Config.Reference in
+  let locs = [ "x"; "y"; "z" ] in
+  let deliveries = ref 0 and max_pending = ref 0 in
+  let compare_state () =
+    let name what = Printf.sprintf "delivery %d: %s" !deliveries what in
+    check (name "applied") true (Replica.applied fast = Replica.applied slow);
+    check (name "received") true (Replica.received fast = Replica.received slow);
+    check_int (name "pending") (Replica.pending_count slow)
+      (Replica.pending_count fast);
+    List.iter
+      (fun loc ->
+        check (name ("causal " ^ loc)) true
+          (Replica.causal_read fast loc = Replica.causal_read slow loc);
+        check (name ("pram " ^ loc)) true
+          (Replica.pram_read fast loc = Replica.pram_read slow loc))
+      locs
+  in
+  for id = 0 to n - 1 do
+    Network.set_handler net id (fun ~src:_ u ->
+        if id = recv then begin
+          Replica.receive fast u;
+          Replica.receive slow u;
+          incr deliveries;
+          max_pending := max !max_pending (Replica.pending_count fast);
+          compare_state ()
+        end
+        else Replica.receive writers.(id) u)
+  done;
+  let write id loc v =
+    let u = Replica.local_write writers.(id) ~loc ~numeric:v ~tag:v in
+    Network.broadcast net ~src:id u
+  in
+  let at time f = Engine.schedule e ~delay:time f in
+  (* in order: every arrival is deliverable with nothing buffered *)
+  at 0. (fun () ->
+      write 0 "x" 1;
+      write 0 "y" 2);
+  at 20. (fun () ->
+      write 1 "z" 3;
+      write 3 "y" 4);
+  (* gap: writer 0's next writes are held on its links to 2 and 3 *)
+  at 40. (fun () ->
+      Network.pause_link net ~src:0 ~dst:recv;
+      Network.pause_link net ~src:0 ~dst:3;
+      write 0 "x" 5;
+      write 0 "y" 6);
+  (* writer 1 saw them: its writes wait at node 2 *)
+  at 60. (fun () ->
+      write 1 "z" 7;
+      write 1 "x" 8);
+  (* writer 3 did not: in order and deliverable, yet behind a buffer *)
+  at 80. (fun () ->
+      write 3 "x" 9;
+      write 3 "y" 10);
+  at 100. (fun () ->
+      check "gap buffered updates" true (Replica.pending_count fast > 0);
+      Network.resume_link net ~src:0 ~dst:recv;
+      Network.resume_link net ~src:0 ~dst:3);
+  (* drained: direct again *)
+  at 150. (fun () ->
+      write 0 "x" 11;
+      write 3 "z" 12;
+      write 1 "y" 13);
+  ignore (Engine.run e);
+  check_int "every update delivered" 13 !deliveries;
+  check "the gap buffered several updates" true (!max_pending >= 2);
+  check_int "nothing left pending" 0 (Replica.pending_count fast);
+  Alcotest.(check (array int)) "all applied" [| 5; 4; 0; 4 |] (Replica.applied fast)
+
 (* ------------------------------------------------------------------ *)
 (* Runtime-level random workload differential                          *)
 (* ------------------------------------------------------------------ *)
@@ -487,6 +571,8 @@ let () =
         [
           Alcotest.test_case "replica stream equivalence" `Quick
             test_replica_stream_differential;
+          Alcotest.test_case "direct and buffered receive paths" `Quick
+            test_direct_and_buffered_paths;
           Alcotest.test_case "random workloads, all modes" `Quick
             test_random_workloads_differential;
           Alcotest.test_case "multicast routing" `Quick test_multicast_differential;

@@ -105,6 +105,46 @@ let test_events_processed () =
   ignore (Engine.run e);
   check_int "events counted" 7 (Engine.events_processed e)
 
+(* A delay is one event: the fiber's continuation is queued at
+   [now + d] when it calls [delay], so fibers delaying to one instant
+   resume in call order, after that instant's earlier-queued events and
+   before anything queued later, even by an event of the same instant. *)
+let test_delay_same_instant_order () =
+  let e = Engine.create () in
+  let reg = Mc_obs.Metrics.Registry.create () in
+  Engine.attach_metrics e reg;
+  let log = ref [] in
+  let note s = log := s :: !log in
+  Engine.schedule e ~delay:5. (fun () ->
+      note "event-early";
+      Engine.schedule e ~delay:0. (fun () -> note "event-from-5"));
+  for i = 0 to 2 do
+    Engine.spawn e (fun () ->
+        Engine.delay e (5. -. Engine.now e);
+        note (Printf.sprintf "fiber-%d" i))
+  done;
+  Engine.spawn e (fun () ->
+      Engine.delay e 2.;
+      Engine.delay e 3.;
+      note "fiber-3");
+  Engine.schedule e ~delay:5. (fun () -> note "event-late");
+  ignore (Engine.run e);
+  Alcotest.(check (list string))
+    "resume order at t=5"
+    [ "event-early"; "event-late"; "fiber-0"; "fiber-1"; "fiber-2"; "fiber-3";
+      "event-from-5" ]
+    (List.rev !log);
+  (* 3 events + 4 spawns + 5 delays, one event each *)
+  check_int "one event per delay" 12 (Engine.events_processed e);
+  let suspends =
+    Mc_obs.Metrics.Registry.counters reg
+    |> List.filter_map (fun (name, _, c) ->
+           if name = "mc_engine_suspends_total" then
+             Some (Mc_obs.Metrics.Counter.get c)
+           else None)
+  in
+  Alcotest.(check (list int)) "delays still count as suspensions" [ 5 ] suspends
+
 let test_negative_delay_rejected () =
   let e = Engine.create () in
   Alcotest.check_raises "negative delay"
@@ -167,6 +207,7 @@ let () =
           Alcotest.test_case "run_until" `Quick test_run_until;
           Alcotest.test_case "event counter" `Quick test_events_processed;
           Alcotest.test_case "negative delay rejected" `Quick test_negative_delay_rejected;
+          Alcotest.test_case "delays to one instant" `Quick test_delay_same_instant_order;
         ] );
       ( "cond",
         [

@@ -78,6 +78,74 @@ let pqueue_heap_property =
           last := p);
       !sorted)
 
+(* A popped value must not stay reachable from the heap: the engine's
+   queue holds closures that capture whole messages. The helpers are not
+   inlined so no stack slot of the test keeps the values alive. *)
+let[@inline never] fill_tracked q weak =
+  for i = 0 to Weak.length weak - 1 do
+    let v = Bytes.make 64 (Char.chr (65 + i)) in
+    Weak.set weak i (Some v);
+    Pqueue.add q ~priority:(float_of_int (i mod 2)) v
+  done
+
+let[@inline never] pop_n q k =
+  for _ = 1 to k do
+    ignore (Sys.opaque_identity (Pqueue.pop_min q))
+  done
+
+let live weak =
+  List.length
+    (List.filter (Weak.check weak) (List.init (Weak.length weak) Fun.id))
+
+let test_pqueue_releases_popped () =
+  let q = Pqueue.create () in
+  let weak = Weak.create 4 in
+  fill_tracked q weak;
+  pop_n q 2;
+  Gc.full_major ();
+  check_int "two popped, two still queued" 2 (live weak);
+  pop_n q 2;
+  Gc.full_major ();
+  check_int "every popped value collected" 0 (live weak);
+  check "drained" true (Pqueue.is_empty q)
+
+(* Random interleavings of adds (a few distinct priorities, so ties are
+   the rule) and pops against a model: the pending elements in insertion
+   order, stably sorted by priority. *)
+let pqueue_stable_order_property =
+  QCheck.Test.make ~name:"pqueue pops in stable (priority, insertion) order"
+    ~count:300
+    QCheck.(list_of_size Gen.(0 -- 200) (option (int_range 0 3)))
+    (fun ops ->
+      let q = Pqueue.create () in
+      let model = ref [] (* (priority, id), insertion order *) in
+      let next = ref 0 in
+      let model_pop () =
+        match List.stable_sort (fun (a, _) (b, _) -> compare a b) !model with
+        | [] -> None
+        | ((_, id) as top) :: _ ->
+          model := List.filter (fun e -> e != top) !model;
+          Some id
+      in
+      let ok = ref true in
+      let pop () =
+        let expected = model_pop () in
+        let got = if Pqueue.is_empty q then None else Some (Pqueue.pop q) in
+        if got <> expected then ok := false
+      in
+      List.iter
+        (function
+          | Some p ->
+            Pqueue.add q ~priority:(float_of_int p) !next;
+            model := !model @ [ (float_of_int p, !next) ];
+            incr next
+          | None -> pop ())
+        ops;
+      while !model <> [] do
+        pop ()
+      done;
+      !ok && Pqueue.is_empty q)
+
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -292,7 +360,10 @@ let () =
           Alcotest.test_case "empty queue" `Quick test_pqueue_empty;
           Alcotest.test_case "interleaved add/pop" `Quick test_pqueue_interleaved;
           Alcotest.test_case "clear" `Quick test_pqueue_clear;
+          Alcotest.test_case "popped values collectable" `Quick
+            test_pqueue_releases_popped;
           qt pqueue_heap_property;
+          qt pqueue_stable_order_property;
         ] );
       ( "rng",
         [
