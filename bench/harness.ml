@@ -77,9 +77,11 @@ type stats = {
   waits : (string * Summary.t) list;
 }
 
+(* [create_words], when given, receives the exact words allocated by
+   [Runtime.create] *)
 let run_mixed ?(procs = 4) ?(propagation = Config.Lazy) ?(timestamped = true)
     ?(await_label = Op.Causal) ?(groups = []) ?multicast ?placement ?latency
-    ?(observe = false) ?tracer f =
+    ?(observe = false) ?tracer ?create_words f =
   let engine = Engine.create () in
   let cfg =
     {
@@ -94,7 +96,15 @@ let run_mixed ?(procs = 4) ?(propagation = Config.Lazy) ?(timestamped = true)
       tracer;
     }
   in
-  let rt = Runtime.create engine ?latency cfg in
+  let create () = Runtime.create engine ?latency cfg in
+  let rt =
+    match create_words with
+    | None -> create ()
+    | Some cell ->
+      let rt, words = Mc_util.Stats.allocated_words create in
+      cell := words;
+      rt
+  in
   let out = f rt (Api.spawn rt) in
   let time = Runtime.run rt in
   let net = Runtime.network rt in

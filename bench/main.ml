@@ -1962,10 +1962,11 @@ let exp_shard () =
         in
         let checksum = ref 0 in
         let rt_ref = ref None in
+        let create_words = ref 0 in
         let (), s =
           run_mixed ~procs ~timestamped:false
             ?multicast:(if sharded then None else Some (fun _loc -> None))
-            ?placement:pl
+            ?placement:pl ~create_words
             (fun rt spawn ->
               rt_ref := Some rt;
               workload checksum spawn)
@@ -1991,12 +1992,13 @@ let exp_shard () =
           upd_msgs,
           !res_max,
           float_of_int !res_sum /. float_of_int procs,
-          Runtime.fetch_count rt )
+          Runtime.fetch_count rt,
+          !create_words )
       in
       let updates = procs * writes * rounds in
-      let s_f, ok_f, upd_f, rmax_f, rmean_f, fet_f = run false in
-      let s_s, ok_s, upd_s, rmax_s, rmean_s, fet_s = run true in
-      let row mode (s : stats) ok upd rmax fetches =
+      let s_f, ok_f, upd_f, rmax_f, rmean_f, fet_f, cw_f = run false in
+      let s_s, ok_s, upd_s, rmax_s, rmean_s, fet_s, cw_s = run true in
+      let row mode (s : stats) ok upd rmax fetches create_words =
         [
           string_of_int procs;
           string_of_int objects;
@@ -2007,40 +2009,42 @@ let exp_shard () =
           T.fmt_ratio (float_of_int upd /. float_of_int updates);
           string_of_int rmax;
           string_of_int fetches;
+          string_of_int create_words;
         ]
       in
-      rows := row "full replication" s_f ok_f upd_f rmax_f fet_f :: !rows;
-      rows := row "sharded placement" s_s ok_s upd_s rmax_s fet_s :: !rows;
+      rows := row "full replication" s_f ok_f upd_f rmax_f fet_f cw_f :: !rows;
+      rows := row "sharded placement" s_s ok_s upd_s rmax_s fet_s cw_s :: !rows;
       rows :=
         [ ""; ""; "-> reduction"; "";
           T.fmt_ratio (s_f.time /. s_s.time);
           T.fmt_ratio (float_of_int s_f.messages /. float_of_int s_s.messages);
           T.fmt_ratio (float_of_int upd_f /. float_of_int upd_s);
           T.fmt_ratio (float_of_int rmax_f /. float_of_int rmax_s);
+          "";
           "" ]
         :: !rows;
-      let add mode (s : stats) ok upd rmax rmean fetches =
+      let add mode (s : stats) ok upd rmax rmean fetches create_words =
         json :=
           Printf.sprintf
             "      {\"procs\": %d, \"objects\": %d, \"writes\": %d, \
              \"rounds\": %d, \"mode\": %S, \"exact\": %b, \"sim_time\": %.3f, \
              \"messages\": %d, \"update_messages\": %d, \"bytes\": %d, \
              \"msgs_per_update\": %.3f, \"resident_max\": %d, \
-             \"resident_mean\": %.2f, \"fetches\": %d}"
+             \"resident_mean\": %.2f, \"fetches\": %d, \"create_words\": %d}"
             procs objects writes rounds mode ok s.time s.messages upd s.bytes
             (float_of_int upd /. float_of_int updates)
-            rmax rmean fetches
+            rmax rmean fetches create_words
           :: !json
       in
-      add "full" s_f ok_f upd_f rmax_f rmean_f fet_f;
-      add "sharded" s_s ok_s upd_s rmax_s rmean_s fet_s)
+      add "full" s_f ok_f upd_f rmax_f rmean_f fet_f cw_f;
+      add "sharded" s_s ok_s upd_s rmax_s rmean_s fet_s cw_s)
     grid;
   T.print
     ~title:
       "EXP-SHARD: sharded partial replication vs full replication (Sec. 6)"
     ~headers:
       [ "procs"; "objects"; "mode"; "exact"; "sim time"; "msgs";
-        "upd msgs/update"; "resident max"; "fetches" ]
+        "upd msgs/update"; "resident max"; "fetches"; "create words" ]
     (List.rev !rows);
   bench_core_add "EXP-SHARD"
     ~params:

@@ -66,14 +66,21 @@ type shard_state = {
   mutable sh_pending : Protocol.shard_update list;
 }
 
+type routing = Full | Multicast | Sharded
+
+(* per-writer received-update counts: a dense vector where every
+   replica may hear from every writer, and under sharded routing an
+   entry only for each writer heard from *)
+type counts = Dense of int array | Heard of (int, int) Hashtbl.t
+
 type t = {
   engine : Engine.t;
   node_id : int;
   n : int;
   fast : bool;
   mutable own_seq : int;
-  applied_counts : int array;
-  received_counts : int array;
+  applied_counts : int array; (* empty under [Sharded]: no causal view *)
+  received_counts : counts;
   causal_view : (Mc_history.Op.location, cell) Hashtbl.t;
   pram_view : (Mc_history.Op.location, cell) Hashtbl.t;
   (* reference engine: causal delivery buffer, rescanned in full *)
@@ -82,9 +89,10 @@ type t = {
      carrying each update's arrival sequence number. The head of writer
      [w] is the update with useq [applied_counts.(w) + 1]; while present
      it is either parked in [wait_applied.(k)] for the first blocking
-     writer [k], or queued in the worklist during an ongoing drain. *)
+     writer [k], or queued in the worklist during an ongoing drain.
+     [wait_applied] is made on the first park ([||] until then). *)
   buffer : (int * int, Protocol.update * int) Hashtbl.t;
-  wait_applied : int list array;
+  mutable wait_applied : int list array;
   mutable n_pending : int;
   mutable arr_counter : int;
   (* drain worklist scratch (empty between events): heads ready to apply
@@ -96,8 +104,8 @@ type t = {
   invalid : (Mc_history.Op.location, int array) Hashtbl.t;
   (* fast engine: demand-mode obligations parked on their first
      unsatisfied clock entry; an obligation is re-examined only when that
-     writer's applied count advances *)
-  inv_wait : Mc_history.Op.location list array;
+     writer's applied count advances; made on the first park *)
+  mutable inv_wait : Mc_history.Op.location list array;
   (* watcher buckets *)
   mutable w_any : watcher list;
   mutable w_clock : watcher list;
@@ -121,7 +129,7 @@ type t = {
   mutable on_shard_apply : (shard:int -> writer:int -> sseq:int -> unit) option;
 }
 
-let create engine ~id ~n ?(groups = []) ?(causal_delivery = true)
+let create engine ~id ~n ?(groups = []) ?(routing = Full)
     ?(delivery = Config.Fast) () =
   let make_group members_list =
     let members = Array.make n false in
@@ -147,19 +155,21 @@ let create engine ~id ~n ?(groups = []) ?(causal_delivery = true)
     n;
     fast = (delivery = Config.Fast);
     own_seq = 0;
-    applied_counts = Array.make n 0;
-    received_counts = Array.make n 0;
+    applied_counts = (if routing = Sharded then [||] else Array.make n 0);
+    received_counts =
+      (if routing = Sharded then Heard (Hashtbl.create 8)
+       else Dense (Array.make n 0));
     causal_view = Hashtbl.create 64;
     pram_view = Hashtbl.create 64;
     pending = [];
     buffer = Hashtbl.create 64;
-    wait_applied = Array.make n [];
+    wait_applied = [||];
     n_pending = 0;
     arr_counter = 0;
     wl_cur = Pqueue.create ();
     wl_next = Pqueue.create ();
     invalid = Hashtbl.create 8;
-    inv_wait = Array.make n [];
+    inv_wait = [||];
     w_any = [];
     w_clock = [];
     w_loc = Hashtbl.create 8;
@@ -167,7 +177,7 @@ let create engine ~id ~n ?(groups = []) ?(causal_delivery = true)
     woken = [];
     dirty_clock = false;
     group_views = List.map make_group groups;
-    causal_delivery;
+    causal_delivery = routing = Full;
     shards = Hashtbl.create 8;
     obs = None;
     on_shard_apply = None;
@@ -228,9 +238,47 @@ let gap_counter o shard =
     c
 
 let id t = t.node_id
-let applied t = Array.copy t.applied_counts
-let received t = Array.copy t.received_counts
-let received_from t j = t.received_counts.(j)
+
+let applied t =
+  (* a sharded replica applies nothing to a global causal view *)
+  if Array.length t.applied_counts = 0 then Array.make t.n 0
+  else Array.copy t.applied_counts
+
+let applied_from t j = t.applied_counts.(j)
+
+let received t =
+  match t.received_counts with
+  | Dense a -> Array.copy a
+  | Heard h ->
+    Array.init t.n (fun j -> Option.value (Hashtbl.find_opt h j) ~default:0)
+
+let received_from t j =
+  match t.received_counts with
+  | Dense a -> a.(j)
+  | Heard h -> ( match Hashtbl.find h j with c -> c | exception Not_found -> 0)
+
+let note_received t j =
+  match t.received_counts with
+  | Dense a -> a.(j) <- a.(j) + 1
+  | Heard h -> Hashtbl.replace h j (received_from t j + 1)
+
+(* the parking arrays are indexed by writer but made on the first park:
+   most replicas never park anything *)
+let park_applied t k w =
+  if Array.length t.wait_applied = 0 then t.wait_applied <- Array.make t.n [];
+  t.wait_applied.(k) <- w :: t.wait_applied.(k)
+
+let unpark_applied t w =
+  if Array.length t.wait_applied = 0 then []
+  else begin
+    let parked = t.wait_applied.(w) in
+    t.wait_applied.(w) <- [];
+    parked
+  end
+
+let park_invalid t k loc =
+  if Array.length t.inv_wait = 0 then t.inv_wait <- Array.make t.n [];
+  t.inv_wait.(k) <- loc :: t.inv_wait.(k)
 
 let shard_pending_total t =
   Hashtbl.fold (fun _ st acc -> acc + List.length st.sh_pending) t.shards 0
@@ -377,7 +425,7 @@ let mark_invalid t loc dep =
       Hashtbl.replace t.invalid loc dep;
       if t.fast then
         match blocking_index t dep with
-        | Some k -> t.inv_wait.(k) <- loc :: t.inv_wait.(k)
+        | Some k -> park_invalid t k loc
         | None -> assert false)
 
 let location_blocked t loc =
@@ -389,21 +437,22 @@ let location_blocked t loc =
    count advanced: satisfied ones clear (waking readers of the
    location), the rest re-park on their next unsatisfied entry *)
 let recheck_invalid t w =
-  match t.inv_wait.(w) with
-  | [] -> ()
-  | locs ->
-    t.inv_wait.(w) <- [];
-    List.iter
-      (fun loc ->
-        match Hashtbl.find_opt t.invalid loc with
-        | None -> ()
-        | Some dep -> (
-          match blocking_index t dep with
-          | None ->
-            Hashtbl.remove t.invalid loc;
-            mark_dirty_loc t loc
-          | Some k -> t.inv_wait.(k) <- loc :: t.inv_wait.(k)))
-      locs
+  if Array.length t.inv_wait > 0 then
+    match t.inv_wait.(w) with
+    | [] -> ()
+    | locs ->
+      t.inv_wait.(w) <- [];
+      List.iter
+        (fun loc ->
+          match Hashtbl.find_opt t.invalid loc with
+          | None -> ()
+          | Some dep -> (
+            match blocking_index t dep with
+            | None ->
+              Hashtbl.remove t.invalid loc;
+              mark_dirty_loc t loc
+            | Some k -> park_invalid t k loc))
+        locs
 
 (* ------------------------------------------------------------------ *)
 (* Causal application                                                  *)
@@ -475,7 +524,7 @@ let group_deliverable t g (u : Protocol.update) =
             if g.members.(k) then begin
               if g.g_applied.(k) < d then ok := false
             end
-            else if t.received_counts.(k) < d then ok := false)
+            else if received_from t k < d then ok := false)
         u.dep;
       !ok)
 
@@ -575,7 +624,7 @@ let check_writer t ~from_arr w =
   | None -> ()
   | Some (u, arr) -> (
     match blocking_writer t u with
-    | Some k -> t.wait_applied.(k) <- w :: t.wait_applied.(k)
+    | Some k -> park_applied t k w
     | None ->
       Pqueue.add
         (if arr > from_arr then t.wl_cur else t.wl_next)
@@ -592,9 +641,7 @@ let run_main_worklist t =
       t.n_pending <- t.n_pending - 1;
       causal_apply t u;
       check_writer t ~from_arr:arr_v w;
-      let parked = t.wait_applied.(w) in
-      t.wait_applied.(w) <- [];
-      List.iter (fun w' -> check_writer t ~from_arr:arr_v w') parked;
+      List.iter (fun w' -> check_writer t ~from_arr:arr_v w') (unpark_applied t w);
       go ()
   in
   go ()
@@ -614,7 +661,7 @@ let g_blocking t g (u : Protocol.update) =
                raise Exit
              end
            end
-           else if t.received_counts.(j) < d then begin
+           else if received_from t j < d then begin
              res := Some (`Non_member j);
              raise Exit
            end)
@@ -677,7 +724,7 @@ let g_seed_applied t g w =
 let receive_one t (u : Protocol.update) =
   if u.writer = t.node_id then
     invalid_arg "Replica.receive: update from self (already applied locally)";
-  t.received_counts.(u.writer) <- t.received_counts.(u.writer) + 1;
+  note_received t u.writer;
   t.dirty_clock <- true;
   apply_to_view t.pram_view u;
   mark_dirty_loc t u.loc;
@@ -754,7 +801,7 @@ let make_update t ~loc ~numeric ~tag ~is_dec =
   apply_to_view t.pram_view u;
   mark_dirty_loc t loc;
   t.applied_counts.(t.node_id) <- t.applied_counts.(t.node_id) + 1;
-  t.received_counts.(t.node_id) <- t.received_counts.(t.node_id) + 1;
+  note_received t t.node_id;
   t.dirty_clock <- true;
   (* a remote update's dependency on us never exceeds the updates we had
      already issued when it was sent, so the main view needs no re-drain
@@ -908,7 +955,7 @@ let shard_make t ~shard ~loc ~numeric ~tag ~is_dec =
   in
   apply_shard_payload t.pram_view ~loc ~numeric ~tag ~is_dec;
   shard_apply t st su;
-  t.received_counts.(t.node_id) <- t.received_counts.(t.node_id) + 1;
+  note_received t t.node_id;
   t.dirty_clock <- true;
   fire_dirty t;
   su
@@ -933,7 +980,7 @@ let shard_receive t (su : Protocol.shard_update) =
        values, so applying it again would go back in time *)
     ()
   | Some st ->
-    t.received_counts.(su.su_writer) <- t.received_counts.(su.su_writer) + 1;
+    note_received t su.su_writer;
     t.dirty_clock <- true;
     apply_shard_payload t.pram_view ~loc:su.su_loc ~numeric:su.su_numeric
       ~tag:su.su_tag ~is_dec:su.su_is_dec;

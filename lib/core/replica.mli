@@ -27,6 +27,20 @@
 
 type t
 
+(** How updates reach this replica, which decides what it keeps per
+    writer:
+    - [Full]: every update reaches every replica. The replica keeps the
+      causal view, the group views and a dense vector clock — the clock
+      every update carries.
+    - [Multicast]: updates go to a location's subscribers only and may
+      arrive with gaps in a writer's sequence. Only the PRAM view is
+      kept; the clock stays dense because the updates still carry it.
+    - [Sharded]: shard updates travel down per-shard trees. The PRAM view
+      and the subscribed shards' views are kept, and received counts
+      exist only for the writers heard from — no per-writer state is
+      made for a writer that never reaches this replica. *)
+type routing = Full | Multicast | Sharded
+
 (** [create engine ~id ~n ~groups] builds a replica. [groups] lists the
     process groups for which a {e group view} is maintained (the
     Section-3.2 spectrum between PRAM and causal): a group view applies
@@ -38,13 +52,14 @@ val create :
   id:int ->
   n:int ->
   ?groups:int list list ->
-  ?causal_delivery:bool ->
+  ?routing:routing ->
   ?delivery:Config.delivery ->
   unit ->
   t
-(** [causal_delivery:false] disables the causal view and group views —
-    used by the multicast routing mode, where updates arrive with gaps in
-    writer sequences and only the PRAM view is meaningful.
+(** [routing] defaults to [Full]; the other two disable the causal view
+    and group views, since updates arrive with gaps in writer sequences
+    and only the PRAM (and shard) views are meaningful. A [Sharded]
+    replica writes only through {!shard_write} and {!shard_dec}.
     [delivery] selects the causal-delivery engine (default
     {!Config.Fast}). *)
 
@@ -53,6 +68,11 @@ val id : t -> int
 (** [applied t] is the vector of causally-applied update counts per
     writer — the node's vector timestamp. Returns a copy. *)
 val applied : t -> int array
+
+(** [applied_from t j] is the number of updates from writer [j] applied
+    to the causal view, without copying the vector. Not available on a
+    [Sharded] replica. *)
+val applied_from : t -> int -> int
 
 (** [received t] is the per-writer received-update counts (equal to the
     PRAM view's application counts). Returns a copy. *)
@@ -156,7 +176,7 @@ val attach_metrics : t -> Mc_obs.Metrics.Registry.t -> unit
 
 (** {1 Sharded (partially-replicated) mode}
 
-    The substrate is the gap-tolerant [causal_delivery:false] mode above:
+    The substrate is the gap-tolerant [routing:Sharded] mode above:
     the global causal view is off, and the PRAM view absorbs whatever
     subset of the update stream this node receives. On top of it the
     replica keeps, {e per subscribed shard}, a causal view ordered by the

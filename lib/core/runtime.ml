@@ -24,7 +24,11 @@ type node = {
       (* (after, proc, loc): fetch requests this home answers once it
          has passed [after] full barriers, in arrival order *)
   subset_episodes : (int list, int ref) Hashtbl.t;
-  sent_updates : int array; (* cumulative updates routed to each peer *)
+  (* cumulative updates routed to each peer, made on the first update
+     to that peer; [sent_order] holds the same cells by ascending
+     receiver, so a barrier lists its counts without a scan or a sort *)
+  sent_updates : (int, int ref) Hashtbl.t;
+  mutable sent_order : (int * int ref) list;
   mutable broadcast_sent : int; (* cumulative updates sent to every peer *)
   mutable open_write_sets :
     (Op.lock_name * (Op.location, int * int * int) Hashtbl.t) list;
@@ -362,8 +366,11 @@ let create engine ?latency cfg =
   (* both routing modes disable the global causal machinery and run the
      replicas gap-tolerant (PRAM view on receipt; sharded mode adds its
      per-shard causal views on top) *)
-  let full_replication =
-    cfg.Config.multicast = None && cfg.Config.placement = None
+  let routing =
+    match (cfg.Config.multicast, cfg.Config.placement) with
+    | None, None -> Replica.Full
+    | Some _, _ -> Replica.Multicast
+    | None, Some _ -> Replica.Sharded
   in
   let latency =
     match latency with
@@ -450,7 +457,7 @@ let create engine ?latency cfg =
                {
                  replica =
                    Replica.create engine ~id ~n ~groups:cfg.Config.groups
-                     ~causal_delivery:full_replication
+                     ~routing
                      ~delivery:cfg.Config.delivery ();
                  grant_waiters = Hashtbl.create 4;
                  ack_waiters = Hashtbl.create 4;
@@ -460,7 +467,8 @@ let create engine ?latency cfg =
                  barriers_passed = 0;
                  deferred_fetches = Queue.create ();
                  subset_episodes = Hashtbl.create 4;
-                 sent_updates = Array.make n 0;
+                 sent_updates = Hashtbl.create 1;
+                 sent_order = [];
                  broadcast_sent = 0;
                  open_write_sets = [];
                  write_seq = 0;
@@ -660,10 +668,10 @@ let stability_sweep t =
     let min_applied = Array.make n max_int in
     Array.iter
       (fun node ->
-        let a = Replica.applied node.replica in
-        Array.iteri
-          (fun j c -> if c < min_applied.(j) then min_applied.(j) <- c)
-          a)
+        for j = 0 to n - 1 do
+          let c = Replica.applied_from node.replica j in
+          if c < min_applied.(j) then min_applied.(j) <- c
+        done)
       t.nodes;
     Hashtbl.iter
       (fun loc l ->
@@ -953,6 +961,25 @@ let flush_outbox t node_id =
       Network.broadcast t.net ~src:node_id ~bytes ~kind:"update_batch"
         (Protocol.Update_batch b))
 
+(* credit one routed update to [dst]'s count, making its cell on the
+   first update to [dst] *)
+let count_sent node dst =
+  match Hashtbl.find node.sent_updates dst with
+  | c -> incr c
+  | exception Not_found ->
+    let c = ref 1 in
+    Hashtbl.add node.sent_updates dst c;
+    let rec insert = function
+      | ((r, _) as e) :: rest when r < dst -> e :: insert rest
+      | l -> (dst, c) :: l
+    in
+    node.sent_order <- insert node.sent_order
+
+(* a barrier arrival's (receiver, sender, count) entries *)
+let rec sent_entries id = function
+  | [] -> []
+  | (r, c) :: rest -> (r, id, !c) :: sent_entries id rest
+
 let broadcast_update p (u : Protocol.update) =
   let node = p.rt.nodes.(p.id) in
   let bytes = update_wire_bytes p.rt.cfg in
@@ -993,7 +1020,7 @@ let broadcast_update p (u : Protocol.update) =
     | Some subs ->
       List.iter
         (fun dst ->
-          if dst <> p.id then node.sent_updates.(dst) <- node.sent_updates.(dst) + 1;
+          if dst <> p.id then count_sent node dst;
           send_to dst)
         (List.sort_uniq compare subs))
 
@@ -1003,10 +1030,7 @@ let broadcast_update p (u : Protocol.update) =
 let shard_route p pl (su : Protocol.shard_update) =
   let node = p.rt.nodes.(p.id) in
   let subs = Mc_placement.Placement.subscribers pl ~shard:su.su_shard in
-  List.iter
-    (fun dst ->
-      if dst <> p.id then node.sent_updates.(dst) <- node.sent_updates.(dst) + 1)
-    subs;
+  List.iter (fun dst -> if dst <> p.id then count_sent node dst) subs;
   let expect = List.length (List.filter (fun d -> d <> p.id) subs) in
   (* flight registration must precede the multicast: hop transmissions
      report through the network observer synchronously below *)
@@ -1326,14 +1350,10 @@ let barrier_generic p ~members ~episode =
            count) entries *)
         if not counts_mode then []
         else begin
-          let acc = ref [] in
-          for r = Array.length node.sent_updates - 1 downto 0 do
-            let c = node.sent_updates.(r) in
-            if c > 0 then acc := (r, p.id, c) :: !acc
-          done;
+          let acc = sent_entries p.id node.sent_order in
           if node.broadcast_sent > 0 then
-            (Protocol.everyone, p.id, node.broadcast_sent) :: !acc
-          else !acc
+            (Protocol.everyone, p.id, node.broadcast_sent) :: acc
+          else acc
         end
       in
       send p.rt ~src:p.id

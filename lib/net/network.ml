@@ -1,5 +1,7 @@
 module Engine = Mc_sim.Engine
 
+(* One directed channel, made on its first send or pause: the network
+   holds no per-pair state for pairs that never communicate. *)
 type 'msg link = {
   mutable last_delivery : float; (* clamp deliveries to preserve FIFO *)
   mutable paused : bool;
@@ -26,7 +28,12 @@ type 'msg t = {
   byte_cost : float;
   send_free : float array; (* next time each node's sender is free *)
   handlers : (src:int -> 'msg -> unit) option array;
-  links : 'msg link array array;
+  (* the channel table: open addressing on [src * n + dst] with linear
+     probing, at most half full, so a send usually costs one multiply
+     and one probe. [link_keys] holds -1 in a free slot. *)
+  mutable link_keys : int array;
+  mutable links : 'msg link array;
+  mutable n_links : int;
   mutable messages : int;
   mutable bytes : int;
   kinds : Mc_util.Stats.Counters.t;
@@ -50,10 +57,10 @@ let create engine ~nodes ~latency ?(send_cost = 0.) ?(byte_cost = 0.) () =
     byte_cost;
     send_free = Array.make nodes 0.;
     handlers = Array.make nodes None;
-    links =
-      Array.init nodes (fun _ ->
-          Array.init nodes (fun _ ->
-              { last_delivery = 0.; paused = false; held = [] }));
+    link_keys = Array.make 16 (-1);
+    (* free slots share one filler record, never read *)
+    links = Array.make 16 { last_delivery = 0.; paused = false; held = [] };
+    n_links = 0;
     messages = 0;
     bytes = 0;
     kinds = Mc_util.Stats.Counters.create ();
@@ -108,8 +115,52 @@ let kind_cell t kind =
       (kind, cell) :: List.filter (fun (k, _) -> k <> kind) t.kind_cells;
     cell
 
-let transmit t ~src ~dst ~bytes ~kind msg =
-  let link = t.links.(src).(dst) in
+let rec probe keys key i =
+  let k = keys.(i) in
+  if k = key || k < 0 then i
+  else probe keys key ((i + 1) land (Array.length keys - 1))
+
+(* the slot holding [key], or the free slot where it belongs: probing
+   starts at the top bits of a Fibonacci hash of the key *)
+let slot keys key =
+  probe keys key (((key * 0x9E3779B97F4A7C1) lsr 17) land (Array.length keys - 1))
+
+let find_link t ~src ~dst =
+  let key = (src * t.n) + dst in
+  let i = slot t.link_keys key in
+  if t.link_keys.(i) = key then Some t.links.(i) else None
+
+let add_link t key link =
+  if 2 * (t.n_links + 1) > Array.length t.link_keys then begin
+    let keys = t.link_keys and links = t.links in
+    t.link_keys <- Array.make (2 * Array.length keys) (-1);
+    t.links <- Array.make (Array.length t.link_keys) link;
+    Array.iteri
+      (fun i k ->
+        if k >= 0 then begin
+          let j = slot t.link_keys k in
+          t.link_keys.(j) <- k;
+          t.links.(j) <- links.(i)
+        end)
+      keys
+  end;
+  let i = slot t.link_keys key in
+  t.link_keys.(i) <- key;
+  t.links.(i) <- link;
+  t.n_links <- t.n_links + 1
+
+(* the channel [src -> dst], made on its first use *)
+let link t ~src ~dst =
+  let key = (src * t.n) + dst in
+  let i = slot t.link_keys key in
+  if t.link_keys.(i) = key then t.links.(i)
+  else begin
+    let link = { last_delivery = 0.; paused = false; held = [] } in
+    add_link t key link;
+    link
+  end
+
+let transmit t link ~src ~dst ~bytes ~kind msg =
   t.messages <- t.messages + 1;
   t.bytes <- t.bytes + bytes;
   incr (kind_cell t kind);
@@ -155,9 +206,9 @@ let send t ~src ~dst ?(bytes = 64) ?(kind = "msg") msg =
     (* Local loopback: delivered as an immediate event, no network cost. *)
     Engine.schedule t.engine ~delay:0. (fun () -> deliver t ~src ~dst msg)
   else begin
-    let link = t.links.(src).(dst) in
+    let link = link t ~src ~dst in
     if link.paused then link.held <- (bytes, kind, msg) :: link.held
-    else transmit t ~src ~dst ~bytes ~kind msg
+    else transmit t link ~src ~dst ~bytes ~kind msg
   end
 
 let broadcast t ~src ?bytes ?kind msg =
@@ -172,16 +223,21 @@ let multicast t ~src ~dsts ?bytes ?kind msg =
 let pause_link t ~src ~dst =
   check_node t src;
   check_node t dst;
-  t.links.(src).(dst).paused <- true
+  (link t ~src ~dst).paused <- true
 
 let resume_link t ~src ~dst =
   check_node t src;
   check_node t dst;
-  let link = t.links.(src).(dst) in
-  link.paused <- false;
-  let held = List.rev link.held in
-  link.held <- [];
-  List.iter (fun (bytes, kind, msg) -> transmit t ~src ~dst ~bytes ~kind msg) held
+  (* a link never paused has no record to resume: nothing to do *)
+  match find_link t ~src ~dst with
+  | None -> ()
+  | Some link ->
+    link.paused <- false;
+    let held = List.rev link.held in
+    link.held <- [];
+    List.iter
+      (fun (bytes, kind, msg) -> transmit t link ~src ~dst ~bytes ~kind msg)
+      held
 
 let messages_sent t = t.messages
 let bytes_sent t = t.bytes

@@ -55,9 +55,17 @@ val multicast :
 (** [pause_link t ~src ~dst] holds messages on one directed link; they
     queue up and are released, still in FIFO order, by
     [resume_link]. Used by tests to force extreme reorderings between
-    different channels. *)
+    different channels.
+
+    A channel's state (its FIFO clamp and held queue) is made on its
+    first send or pause, so pausing a link that has never carried a
+    message is allowed: it holds every later send until [resume_link],
+    exactly as on a used link. *)
 val pause_link : 'msg t -> src:int -> dst:int -> unit
 
+(** [resume_link t ~src ~dst] transmits the held messages in send order;
+    each still arrives after every message the link carried before it.
+    Resuming a link that was never paused does nothing. *)
 val resume_link : 'msg t -> src:int -> dst:int -> unit
 
 (** Statistics, cumulative since creation. *)

@@ -70,3 +70,14 @@ module Counters = struct
     List.iter (fun (name, k) -> Format.fprintf fmt "%s=%d@ " name k) pairs;
     Format.fprintf fmt "@]"
 end
+
+let allocated_words f =
+  let words () =
+    let s = Gc.quick_stat () in
+    s.minor_words +. s.major_words -. s.promoted_words
+  in
+  Gc.full_major ();
+  let w0 = words () in
+  let r = f () in
+  Gc.full_major ();
+  (r, int_of_float (words () -. w0))

@@ -40,3 +40,9 @@ module Counters : sig
 
   val pp : Format.formatter -> t -> unit
 end
+
+(** [allocated_words f] runs [f] and returns its result with the exact
+    number of words it allocated on the OCaml heap. A full major cycle
+    runs on both sides, which makes the major-heap count exact; use it
+    for deterministic allocation counts, not inside timed regions. *)
+val allocated_words : (unit -> 'a) -> 'a * int

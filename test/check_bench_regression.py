@@ -58,6 +58,8 @@ DETERMINISTIC = [
             "bytes",
             "resident_max",
             "fetches",
+            # exact words allocated by Runtime.create: O(P) set-up
+            "create_words",
         ),
     ),
     # the await-synchronized handshake series: checker state or replay

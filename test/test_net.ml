@@ -88,6 +88,126 @@ let test_pause_resume () =
   ignore (Engine.run e);
   Alcotest.(check (list int)) "released in order" [ 1; 2 ] (List.rev !got)
 
+(* Channel state is made on first use: a link that never carried a
+   message behaves exactly like a used one under pause and resume. *)
+let test_pause_fresh_link () =
+  let e, net = make ~byte_cost:0.1 () in
+  let got = Array.make 3 [] in
+  for node = 0 to 2 do
+    Network.set_handler net node (fun ~src msg ->
+        got.(node) <- (src, msg, Engine.now e) :: got.(node))
+  done;
+  Network.pause_link net ~src:0 ~dst:2;
+  Network.send net ~src:0 ~dst:2 ~bytes:1 "x1";
+  Network.send net ~src:0 ~dst:2 ~bytes:1 "x2";
+  (* siblings: another link into node 2, and the reverse link *)
+  Network.send net ~src:1 ~dst:2 ~bytes:1 "s";
+  Network.send net ~src:2 ~dst:0 ~bytes:1 "r";
+  ignore (Engine.run e);
+  let delivered = Alcotest.(list (triple int string (float 1e-9))) in
+  Alcotest.check delivered "held; sibling into node 2 unaffected"
+    [ (1, "s", 10.1) ] got.(2);
+  Alcotest.check delivered "reverse link unaffected" [ (2, "r", 10.1) ] got.(0);
+  check_int "held sends not yet counted" 2 (Network.messages_sent net);
+  Network.resume_link net ~src:0 ~dst:2;
+  ignore (Engine.run e);
+  Alcotest.check delivered "released in send order"
+    [ (1, "s", 10.1); (0, "x1", 20.2); (0, "x2", 20.2) ]
+    (List.rev got.(2));
+  check_int "each message counted once" 4 (Network.messages_sent net);
+  check_int "each message's bytes counted once" 4 (Network.bytes_sent net)
+
+let test_resume_behind_in_flight () =
+  (* the big message takes 110 us; the held ones alone would take 10.1
+     but must still arrive after it, in send order *)
+  let e, net = make ~byte_cost:0.1 () in
+  let got = ref [] in
+  Network.set_handler net 1 (fun ~src:_ msg -> got := (msg, Engine.now e) :: !got);
+  Network.send net ~src:0 ~dst:1 ~bytes:1000 "big";
+  Network.pause_link net ~src:0 ~dst:1;
+  Network.send net ~src:0 ~dst:1 ~bytes:1 "b";
+  Network.send net ~src:0 ~dst:1 ~bytes:1 "c";
+  Network.resume_link net ~src:0 ~dst:1;
+  ignore (Engine.run e);
+  Alcotest.(check (list (pair string (float 1e-9))))
+    "FIFO behind the in-flight message"
+    [ ("big", 110.); ("b", 110.); ("c", 110.) ]
+    (List.rev !got);
+  check_int "messages" 3 (Network.messages_sent net);
+  check_int "bytes" 1002 (Network.bytes_sent net)
+
+let test_resume_never_paused () =
+  let e, net = make () in
+  let got = ref [] in
+  Network.set_handler net 0 (fun ~src:_ msg -> got := msg :: !got);
+  Network.resume_link net ~src:1 ~dst:0;
+  ignore (Engine.run e);
+  check_int "resume of an unused link sends nothing" 0 (Network.messages_sent net);
+  Network.send net ~src:1 ~dst:0 "a";
+  Network.resume_link net ~src:1 ~dst:0;
+  Network.send net ~src:1 ~dst:0 "b";
+  ignore (Engine.run e);
+  Alcotest.(check (list string)) "a used, never-paused link is undisturbed"
+    [ "a"; "b" ] (List.rev !got);
+  check_int "messages" 2 (Network.messages_sent net)
+
+let test_many_channels () =
+  (* every ordered pair of 40 nodes, in a scrambled order, a third of
+     them paused before their first send: the channel table grows many
+     times, and each channel keeps its own pause state and FIFO order *)
+  let nodes = 40 in
+  let latency = Latency.uniform (Mc_util.Rng.make 7) ~lo:1. ~hi:50. in
+  let e, net = make ~nodes ~latency () in
+  let got = Array.make_matrix nodes nodes [] in
+  for dst = 0 to nodes - 1 do
+    Network.set_handler net dst (fun ~src k -> got.(src).(dst) <- k :: got.(src).(dst))
+  done;
+  let paused src dst = (src + (2 * dst)) mod 3 = 0 in
+  let pairs = List.init (nodes * nodes) (fun i -> (i * 37) mod (nodes * nodes)) in
+  let each f =
+    List.iter
+      (fun pair ->
+        let src = pair / nodes and dst = pair mod nodes in
+        if src <> dst then f src dst)
+      pairs
+  in
+  each (fun src dst -> if paused src dst then Network.pause_link net ~src ~dst);
+  let rounds = 3 in
+  for k = 1 to rounds do
+    each (fun src dst -> Network.send net ~src ~dst k)
+  done;
+  let all_rounds = List.init rounds (fun k -> k + 1) in
+  let delivered_iff f =
+    let ok = ref true in
+    each (fun src dst ->
+        let want = if f src dst then all_rounds else [] in
+        if List.rev got.(src).(dst) <> want then ok := false);
+    !ok
+  in
+  ignore (Engine.run e);
+  check "only unpaused channels delivered, each FIFO" true
+    (delivered_iff (fun src dst -> not (paused src dst)));
+  each (fun src dst -> if paused src dst then Network.resume_link net ~src ~dst);
+  ignore (Engine.run e);
+  check "every channel delivered, each FIFO" true (delivered_iff (fun _ _ -> true));
+  check_int "messages" (rounds * nodes * (nodes - 1)) (Network.messages_sent net)
+
+let test_create_words () =
+  (* no per-pair state before a pair communicates *)
+  let create nodes =
+    let e = Engine.create () in
+    snd
+      (Mc_util.Stats.allocated_words (fun () ->
+           Network.create e ~nodes ~latency:(Latency.constant 1.) ()))
+  in
+  let w250 = create 250 and w1000 = create 1000 in
+  check
+    (Printf.sprintf "words(1000) = %d <= 4 per node + 1000" w1000)
+    true (w1000 <= 5000);
+  let ratio = float_of_int w1000 /. float_of_int w250 in
+  check (Printf.sprintf "words(1000) / words(250) = %.2f <= 4.5" ratio) true
+    (ratio <= 4.5)
+
 let test_stats () =
   let e, net = make () in
   Network.set_handler net 1 (fun ~src:_ _ -> ());
@@ -164,6 +284,13 @@ let () =
           Alcotest.test_case "self send" `Quick test_self_send_immediate;
           Alcotest.test_case "broadcast" `Quick test_broadcast;
           Alcotest.test_case "pause/resume link" `Quick test_pause_resume;
+          Alcotest.test_case "pause a never-used link" `Quick test_pause_fresh_link;
+          Alcotest.test_case "resume behind in-flight messages" `Quick
+            test_resume_behind_in_flight;
+          Alcotest.test_case "resume a never-paused link" `Quick
+            test_resume_never_paused;
+          Alcotest.test_case "many channels" `Quick test_many_channels;
+          Alcotest.test_case "create words O(nodes)" `Quick test_create_words;
           Alcotest.test_case "statistics" `Quick test_stats;
           Alcotest.test_case "sender occupancy" `Quick test_send_cost_serializes;
           Alcotest.test_case "byte cost" `Quick test_byte_cost;

@@ -484,6 +484,34 @@ let test_barrier_bytes_scale () =
   check (Printf.sprintf "bytes(1024)/bytes(256) = %.2f <= 5" (ratio b256 b1024)) true
     (ratio b256 b1024 <= 5.0)
 
+let test_create_words_scale () =
+  (* runtime set-up is O(P) under placement: no per-pair network,
+     barrier or replica state exists before a pair communicates *)
+  let create_words procs =
+    let pl =
+      P.create ~shards:procs ~policy:(P.Range { objects = 100 * procs }) ()
+    in
+    for i = 0 to procs - 1 do
+      P.subscribe pl ~node:i ~shard:i;
+      P.subscribe pl ~node:i ~shard:((i + 1) mod procs)
+    done;
+    let cfg =
+      {
+        (Config.default ~procs) with
+        timestamped_updates = false;
+        placement = Some pl;
+      }
+    in
+    let engine = Engine.create () in
+    snd (Mc_util.Stats.allocated_words (fun () -> Runtime.create engine cfg))
+  in
+  let w250 = create_words 250 and w1000 = create_words 1000 in
+  let ratio = float_of_int w1000 /. float_of_int w250 in
+  check
+    (Printf.sprintf "create words P=1000 / P=250 = %d / %d = %.2f <= 4.5" w1000
+       w250 ratio)
+    true (ratio <= 4.5)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "shard"
@@ -512,5 +540,10 @@ let () =
             test_barrier_tree_differential;
           Alcotest.test_case "bytes per episode scale" `Quick
             test_barrier_bytes_scale;
+        ] );
+      ( "set-up",
+        [
+          Alcotest.test_case "create words O(P) under placement" `Quick
+            test_create_words_scale;
         ] );
     ]
