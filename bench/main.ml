@@ -626,16 +626,29 @@ let batch_workload ~procs ~writes (api : Api.t) =
     ignore (api.Api.read (Printf.sprintf "bw:%d:%d" j (writes mod 8)))
   done
 
-let run_batching ~procs ~batch_max ~writes =
+(* messages that carry updates: plain, coalesced and sharded *)
+let update_messages net =
+  List.fold_left
+    (fun acc (kind, n) ->
+      match kind with
+      | "update" | "update_batch" | "shard_update" -> acc + n
+      | _ -> acc)
+    0
+    (Network.messages_by_kind net)
+
+(* every update reaches the other procs - 1 nodes *)
+let updates_per_message ~procs ~updates update_msgs =
+  float_of_int (updates * (procs - 1)) /. float_of_int update_msgs
+
+let run_batching ~procs ~writes =
   let engine = Engine.create () in
-  let cfg = { (Config.default ~procs) with batch_max } in
-  let rt = Runtime.create engine cfg in
+  let rt = Runtime.create engine (Config.default ~procs) in
   for i = 0 to procs - 1 do
     Api.spawn rt i (batch_workload ~procs ~writes)
   done;
   let time = Runtime.run rt in
   let net = Runtime.network rt in
-  (time, Network.messages_sent net, Network.bytes_sent net)
+  (time, Network.messages_sent net, update_messages net, Network.bytes_sent net)
 
 let exp_delivery () =
   let drain_targets = if !quick then [ 200; 1_000 ] else [ 1_000; 10_000 ] in
@@ -730,42 +743,50 @@ let exp_delivery () =
     ~headers:[ "p"; "updates"; "fast (s)"; "upd/s"; "words/upd" ]
     (List.rev !steady_rows);
   let procs = 4 in
-  let writes = if !quick then 50 else 200 in
+  let batch_writes = [ 1; 8; 64 ] in
   let batch_rows = ref [] and batch_json = ref [] in
   List.iter
-    (fun batch_max ->
-      let time, messages, bytes = run_batching ~procs ~batch_max ~writes in
+    (fun writes ->
+      let time, messages, update_msgs, bytes = run_batching ~procs ~writes in
+      let updates = procs * writes in
+      let per_msg = updates_per_message ~procs ~updates update_msgs in
       batch_rows :=
         [
-          string_of_int batch_max;
-          T.fmt_float time;
+          string_of_int writes;
+          string_of_int updates;
+          string_of_int update_msgs;
+          Printf.sprintf "%.2f" per_msg;
           string_of_int messages;
           string_of_int bytes;
+          T.fmt_float time;
         ]
         :: !batch_rows;
       batch_json :=
         Printf.sprintf
-          "    {\"batch_max\": %d, \"sim_time\": %.3f, \"messages\": %d, \"bytes\": \
-           %d}"
-          batch_max time messages bytes
+          "    {\"writes\": %d, \"updates\": %d, \"update_messages\": %d, \
+           \"updates_per_message\": %.2f, \"messages\": %d, \"bytes\": %d, \
+           \"sim_time\": %.3f}"
+          writes updates update_msgs per_msg messages bytes time
         :: !batch_json)
-    [ 1; 8; 32 ];
+    batch_writes;
   T.print
     ~title:
       (Printf.sprintf
-         "EXP-DELIVERY/batching: %d procs x %d writes, delta-encoded update batches"
-         procs writes)
-    ~headers:[ "batch_max"; "sim time"; "msgs"; "bytes" ]
+         "EXP-DELIVERY/batching: %d procs, W writes each between barriers, \
+          coalesced until the writer synchronizes"
+         procs)
+    ~headers:[ "W"; "updates"; "upd msgs"; "upd/msg"; "msgs"; "bytes"; "sim time" ]
     (List.rev !batch_rows);
   bench_core_add "EXP-DELIVERY"
     ~params:
       (Printf.sprintf
          "{\"drain_targets\": [%s], \"steady_targets\": [%s], \"ps\": [%s], \
-          \"batch_procs\": %d, \"batch_writes\": %d}"
+          \"batch_procs\": %d, \"batch_writes\": [%s]}"
          (String.concat ", " (List.map string_of_int drain_targets))
          (String.concat ", " (List.map string_of_int steady_targets))
          (String.concat ", " (List.map string_of_int ps))
-         procs writes)
+         procs
+         (String.concat ", " (List.map string_of_int batch_writes)))
     (Printf.sprintf
        "    \"drain\": [\n%s\n    ],\n    \"steady\": [\n%s\n    ],\n    \"batching\": \
         [\n%s\n    ]"
@@ -776,9 +797,10 @@ let exp_delivery () =
     "per-writer FIFO queues make deliverability a single head check (channels are\n\
      FIFO, so only the head can apply); the seed rescans its whole pending list on\n\
      every receive. With nothing buffered, an in-order deliverable arrival (the\n\
-     steady rows) is applied directly, skipping buffer and worklist. Batching\n\
-     coalesces consecutive same-writer updates between sync points, delta-encoding\n\
-     the dependency clocks. Raw numbers: BENCH_CORE.json."
+     steady rows) is applied directly, skipping buffer and worklist. Each writer's\n\
+     updates wait in its outbox until it synchronizes, so every peer receives one\n\
+     delta-encoded message per sync interval: upd/msg equals W. Raw numbers:\n\
+     BENCH_CORE.json."
 
 (* ------------------------------------------------------------------ *)
 (* EXP-ONLINE: record-then-check vs the streaming online checker       *)
@@ -1505,7 +1527,7 @@ module Obs_trace = Mc_obs.Trace
    times are asserted equal. *)
 let run_observed ~procs ~writes ~observe ~tracer () =
   let engine = Engine.create () in
-  let cfg = { (Config.default ~procs) with batch_max = 8; observe; tracer } in
+  let cfg = { (Config.default ~procs) with observe; tracer } in
   let rt = Runtime.create engine cfg in
   for i = 0 to procs - 1 do
     Api.spawn rt i (batch_workload ~procs ~writes)
@@ -1541,14 +1563,18 @@ let exp_obs () =
     let best = ref infinity in
     for _ = 1 to reps do
       let t0 = Sys.time () in
-      ignore (run_batching ~procs ~batch_max:8 ~writes);
+      ignore (run_batching ~procs ~writes);
       let dt = Sys.time () -. t0 in
       if dt < !best then best := dt
     done;
     !best
   in
-  let _, sim_off, t_off =
+  let rt_off, sim_off, t_off =
     min_of (run_observed ~procs ~writes ~observe:false ~tracer:None)
+  in
+  let per_msg =
+    updates_per_message ~procs ~updates:(procs * writes)
+      (update_messages (Runtime.network rt_off))
   in
   let rt_m, sim_m, t_m =
     min_of (run_observed ~procs ~writes ~observe:true ~tracer:None)
@@ -1569,9 +1595,9 @@ let exp_obs () =
   T.print
     ~title:
       (Printf.sprintf
-         "EXP-OBS: observability overhead, %d procs x %d writes (batch_max 8, \
-          min of %d)"
-         procs writes reps)
+         "EXP-OBS: observability overhead, %d procs x %d writes (%.0f updates \
+          per message, min of %d)"
+         procs writes per_msg reps)
     ~headers:[ "mode"; "wall (s)"; "sim time"; "overhead"; "series"; "spans" ]
     [
       [ "exp-delivery"; Printf.sprintf "%.4f" t_ref; T.fmt_float sim_off;
@@ -1626,7 +1652,8 @@ let exp_obs () =
        "    \"runtime\": [\n\
        \      {\"mode\": \"exp_delivery_ref\", \"wall_s\": %.6f, \
         \"off_vs_ref\": %.4f},\n\
-       \      {\"mode\": \"off\", \"wall_s\": %.6f, \"sim_time\": %.3f},\n\
+       \      {\"mode\": \"off\", \"wall_s\": %.6f, \"sim_time\": %.3f, \
+        \"updates_per_message\": %.2f},\n\
        \      {\"mode\": \"metrics\", \"wall_s\": %.6f, \"sim_time\": %.3f, \
         \"overhead\": %.4f},\n\
        \      {\"mode\": \"metrics_trace\", \"wall_s\": %.6f, \"sim_time\": \
@@ -1637,7 +1664,7 @@ let exp_obs () =
        \    \"observability\": %s"
        t_ref
        ((t_off /. t_ref) -. 1.0)
-       t_off sim_off t_m sim_m (overhead t_m) t_t sim_t (overhead t_t) spans
+       t_off sim_off per_msg t_m sim_m (overhead t_m) t_t sim_t (overhead t_t) spans
        events d_bare d_obs
        ((d_obs /. d_bare) -. 1.0)
        (Metrics.Registry.to_json (Runtime.metrics rt_m)));
@@ -1972,15 +1999,7 @@ let exp_shard () =
               workload checksum spawn)
         in
         let rt = Option.get !rt_ref in
-        let upd_msgs =
-          List.fold_left
-            (fun acc (kind, n) ->
-              match kind with
-              | "update" | "shard_update" -> acc + n
-              | _ -> acc)
-            0
-            (Network.messages_by_kind (Runtime.network rt))
-        in
+        let upd_msgs = update_messages (Runtime.network rt) in
         let res_max = ref 0 and res_sum = ref 0 in
         for i = 0 to procs - 1 do
           let r = Runtime.resident_objects rt ~proc:i in

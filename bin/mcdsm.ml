@@ -586,7 +586,7 @@ let litmus_catalog () =
 
 (* the EXP-DELIVERY bench workload shape: phase-disciplined writes with
    post-barrier PRAM reads, a lock-protected accumulator and an
-   await-signalled finish (mixed runtime only: batching is a
+   await-signalled finish (mixed runtime only: update coalescing is a
    mixed-memory feature). Shared by `lint --app delivery` and the
    metrics/trace subcommands. *)
 let spawn_delivery_workload rt =
@@ -643,7 +643,7 @@ let app_histories app memory propagation seed =
     let delivery () =
       let engine = Engine.create () in
       let cfg =
-        { (Config.default ~procs:4) with record = true; batch_max = 8; propagation }
+        { (Config.default ~procs:4) with record = true; propagation }
       in
       let rt = Runtime.create engine cfg in
       spawn_delivery_workload rt;
@@ -886,35 +886,32 @@ module Obs_trace = Mc_obs.Trace
 let observed_run ?placement ?(check_online = false) ~app ~propagation ~seed
     ~record ~tracer () =
   let engine = Engine.create () in
-  let procs, batch_max, launch =
+  let procs, launch =
     match app with
     | `Solver ->
       let problem = Solver.Problem.generate ~seed ~n:8 in
       ( 3,
-        1,
         fun rt ->
           ignore
             (Solver.launch ~spawn:(Api.spawn rt) ~procs:3
                ~variant:Solver.Barrier_pram problem) )
     | `Em ->
       let params = { Em.rows = 8; cols = 4; steps = 2; seed } in
-      (2, 1, fun rt -> ignore (Em.launch ~spawn:(Api.spawn rt) ~procs:2 params))
+      (2, fun rt -> ignore (Em.launch ~spawn:(Api.spawn rt) ~procs:2 params))
     | `Cholesky ->
       let m = Sparse.generate ~seed ~n:8 ~density:0.2 in
       ( 4,
-        1,
         fun rt ->
           ignore
             (Cholesky.launch ~spawn:(Api.spawn rt) ~procs:4
                ~variant:Cholesky.Lock_based m) )
-    | `Delivery -> (4, 8, spawn_delivery_workload)
+    | `Delivery -> (4, spawn_delivery_workload)
   in
   let cfg =
     {
       (Config.default ~procs) with
       propagation;
       record;
-      batch_max;
       observe = true;
       tracer;
       placement;

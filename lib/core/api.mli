@@ -18,6 +18,14 @@ type t = {
   write_unlock : Mc_history.Op.lock_name -> unit;
   barrier : unit -> unit;
   await : Mc_history.Op.location -> int -> unit;
+      (** [await loc v] blocks until [loc] holds [v]. It watches the
+          states the local replica applies, not every value the location
+          passes through: the updates of one coalesced message are
+          applied together, so an await can miss a value that a batch
+          overwrites (a counter decremented past it, say). Await only
+          values that stay put — a counter's final value, as
+          Section 5.3's counters start at the number of decrements to
+          come. *)
   compute : float -> unit;
 }
 

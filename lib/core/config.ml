@@ -18,8 +18,6 @@ type t = {
   multicast : (Mc_history.Op.location -> int list option) option;
   placement : Mc_placement.Placement.t option;
   delivery : delivery;
-  batch_max : int;
-  batch_window : float;
   observe : bool;
   tracer : Mc_obs.Trace.t option;
 }
@@ -42,8 +40,6 @@ let default ~procs =
     multicast = None;
     placement = None;
     delivery = Fast;
-    batch_max = 1;
-    batch_window = 1.0;
     observe = false;
     tracer = None;
   }

@@ -31,6 +31,10 @@ type propagation = Eager | Lazy | Demand | Entry
     and as the before-side of the EXP-DELIVERY benchmark. *)
 type delivery = Fast | Reference
 
+(** Update coalescing has no setting: under full and multicast routing
+    each write waits in its writer's outbox until the writer's next
+    flush point (see [Runtime.write]). Mixed consistency orders updates
+    by ⇝ only, never by real time, so holding them changes no verdict. *)
 type t = {
   procs : int;  (** number of DSM nodes / application processes *)
   propagation : propagation;
@@ -79,7 +83,9 @@ type t = {
           update ... may be avoided by making optimizations based on the
           patterns of accesses to shared variables"). When set, a write
           to [loc] is sent only to [subscribers loc] (None means
-          broadcast). Only PRAM-consistent programs may use this mode:
+          broadcast); a flush sends each destination one message with
+          the updates routed to it. Only PRAM-consistent programs may use
+          this mode:
           causal delivery is disabled (reads must be PRAM-labelled,
           awaits poll the PRAM view) and barriers switch to the paper's
           update-count scheme — each arrival reports how many updates it
@@ -100,20 +106,6 @@ type t = {
           Locks and [Group] reads are not available in this mode. Writes
           are restricted to subscribed shards. *)
   delivery : delivery;  (** causal-delivery engine, see {!delivery} *)
-  batch_max : int;
-      (** maximum number of consecutive same-writer updates coalesced
-          into one {!Protocol.Update_batch} wire message. [1] (the
-          default) disables batching — every write broadcasts its own
-          update message, the seed behavior. Batching only applies to
-          broadcast routing; under [multicast] updates are always sent
-          individually (different locations may have different subscriber
-          sets). *)
-  batch_window : float;
-      (** upper bound, in virtual time, on how long the first buffered
-          update may wait before the outgoing batch is flushed (batches
-          are also flushed when [batch_max] is reached and before every
-          synchronization operation). Only meaningful when
-          [batch_max > 1]. *)
   observe : bool;
       (** attach the full {!Mc_obs} metric set — engine, network,
           replica-delivery, online-checker and staleness series — to the

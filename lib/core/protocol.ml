@@ -23,6 +23,22 @@ let batch_length b = 1 + List.length b.rest
 let batch_delta_entries b =
   List.fold_left (fun acc it -> acc + List.length it.b_dep_delta) 0 b.rest
 
+(* the entries [encode_batch] would transmit, counted without building
+   the encoding *)
+let delta_entries = function
+  | [] -> 0
+  | (first : update) :: rest ->
+    let rec go acc (prev : update) = function
+      | [] -> acc
+      | (u : update) :: rest ->
+        let acc = ref acc in
+        for j = 0 to Array.length u.dep - 1 do
+          if j <> u.writer && u.dep.(j) <> prev.dep.(j) then incr acc
+        done;
+        go !acc u rest
+    in
+    go 0 first rest
+
 (* The writer's own dep entry is never transmitted: it is [useq - 1] by
    construction, and useqs within a batch are consecutive. *)
 let encode_batch = function
@@ -96,7 +112,7 @@ type shard_update = {
 
 type msg =
   | Update of update
-  | Update_batch of batch
+  | Update_batch of update list
   | Shard_update of shard_update
   | Fetch_request of { proc : int; loc : Mc_history.Op.location; after : int }
   | Fetch_reply of {

@@ -22,7 +22,7 @@ type update = {
   is_dec : bool;
 }
 
-(** One coalesced update inside an {!Update_batch}. Its dependency clock
+(** One coalesced update inside a {!batch}. Its dependency clock
     is delta-encoded against the previous update of the batch: only the
     entries that differ are listed, and the writer's own entry is never
     transmitted (it equals [useq - 1], with useqs consecutive within a
@@ -37,11 +37,10 @@ type batch_item = {
           relative to the previous update in the batch *)
 }
 
-(** A run of consecutive updates by one writer, coalesced into a single
-    wire message between synchronization points. Only the first update
-    carries its full dependency clock. Because channels are FIFO and the
-    items are in useq order, delivering the decoded updates in sequence
-    preserves exactly the ordering guarantees of individual sends. *)
+(** The delta encoding of a run of consecutive updates by one writer:
+    only the first update carries its full dependency clock. This is the
+    wire format the byte model of an {!Update_batch} charges for; the
+    simulator hands receivers the updates themselves (see {!msg}). *)
 type batch = { first : update; rest : batch_item list }
 
 (** [encode_batch updates] delta-encodes a non-empty list of updates by
@@ -57,9 +56,15 @@ val decode_batch : batch -> update list
 val batch_length : batch -> int
 
 (** [batch_delta_entries b] is the total number of transmitted
-    dependency-clock delta entries, the basis of the wire-cost model for
-    batches. *)
+    dependency-clock delta entries. *)
 val batch_delta_entries : batch -> int
+
+(** [delta_entries updates] is the number of dependency-clock entries
+    the delta encoding of [updates] transmits — [batch_delta_entries
+    (encode_batch updates)], counted without allocating. It also applies
+    to runs whose useqs skip (a multicast destination's share of a
+    writer's updates), whose items carry their useq in the payload. *)
+val delta_entries : update list -> int
 
 (** A propagated write scoped to one shard of a partially-replicated
     placement (see {!Mc_placement}). Instead of the global vector clock
@@ -84,7 +89,13 @@ type shard_update = {
 
 type msg =
   | Update of update
-  | Update_batch of batch
+  | Update_batch of update list
+      (** a writer's updates coalesced between two of its flush points,
+          in useq order, as one wire message (delivering them in
+          sequence preserves exactly the ordering guarantees of
+          individual sends, since channels are FIFO). The list is shared
+          by the whole fan-out, as one [Update] is; on the wire it is
+          charged as the delta encoding {!batch}. *)
   | Shard_update of shard_update
   | Fetch_request of {
       proc : int;

@@ -102,7 +102,7 @@ val local_dec :
     then wakes any watchers whose condition became true. *)
 val receive : t -> Protocol.update -> unit
 
-(** [receive_many t updates] ingests a decoded {!Protocol.Update_batch}:
+(** [receive_many t updates] ingests the updates of one {!Protocol.Update_batch}:
     every update is processed as by {!receive}, but watchers are woken
     once, after the whole batch — one wire message, one wake sweep. *)
 val receive_many : t -> Protocol.update list -> unit

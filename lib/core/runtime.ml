@@ -38,11 +38,13 @@ type node = {
          number orders the extracted write-set most-recent-first at
          release time *)
   mutable write_seq : int;
-  (* outgoing update batching (broadcast routing only): updates buffered
-     since the last flush, newest first *)
+  (* full and multicast routing: the updates written since the last
+     flush, newest first *)
   mutable outbox : Protocol.update list;
-  mutable outbox_len : int;
-  mutable flush_scheduled : bool; (* a batch-window timer is outstanding *)
+  mutable flush_epoch : int; (* nonempty flushes so far *)
+  (* per location, the flush epoch of its last read while updates were
+     buffered; made on the first such read *)
+  mutable read_stamps : (Op.location, int ref) Hashtbl.t option;
   (* sharded mode: fibers blocked on a read-miss fetch, per location.
      Replies from one home arrive in FIFO order, so matching the oldest
      waiter of the reply's location is exact *)
@@ -163,10 +165,10 @@ let update_wire_bytes cfg =
 (* a batch carries every item's payload but only one full vector
    timestamp; the remaining clocks are delta-encoded at 8 bytes per
    transmitted entry *)
-let batch_wire_bytes cfg b =
-  (cfg.Config.update_bytes * Protocol.batch_length b)
+let batch_wire_bytes cfg us =
+  (cfg.Config.update_bytes * List.length us)
   + (if cfg.Config.timestamped_updates then
-       vc_bytes cfg + (8 * Protocol.batch_delta_entries b)
+       vc_bytes cfg + (8 * Protocol.delta_entries us)
      else 0)
 
 (* a shard update carries its shard id, stream sequence number and the
@@ -242,8 +244,7 @@ let handle_message t node_id ~src msg =
   let node = t.nodes.(node_id) in
   match msg with
   | Protocol.Update u -> Replica.receive node.replica u
-  | Protocol.Update_batch b ->
-    Replica.receive_many node.replica (Protocol.decode_batch b)
+  | Protocol.Update_batch us -> Replica.receive_many node.replica us
   | Protocol.Lock_request _ | Protocol.Unlock_msg _ ->
     Lock_manager.handle t.lock_managers.(node_id) ~src msg
   | Protocol.Lock_grant { lock; _ } -> (
@@ -473,8 +474,8 @@ let create engine ?latency cfg =
                  open_write_sets = [];
                  write_seq = 0;
                  outbox = [];
-                 outbox_len = 0;
-                 flush_scheduled = false;
+                 flush_epoch = 0;
+                 read_stamps = None;
                  fetch_waiters = Hashtbl.create 4;
                });
          lock_managers =
@@ -690,6 +691,120 @@ let stability_sweep t =
       t.live_values
   | _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* Update outbox                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Under full and multicast routing every update waits in its writer's
+   outbox and leaves at the writer's next flush point: before each
+   synchronization operation (so every clock or count a control message
+   carries covers only updates already on the wire, FIFO ahead of it),
+   at [compute], at fiber exit, and at a repeat read (see [note_read]).
+   Mixed consistency orders updates by ⇝ only, never by real time
+   (Definitions 2-4), so holding them is allowed; the flush points keep
+   every program that synchronizes, computes, exits or polls live. *)
+
+(* credit one routed update to [dst]'s count, making its cell on the
+   first update to [dst] *)
+let count_sent node dst =
+  match Hashtbl.find node.sent_updates dst with
+  | c -> incr c
+  | exception Not_found ->
+    let c = ref 1 in
+    Hashtbl.add node.sent_updates dst c;
+    let rec insert = function
+      | ((r, _) as e) :: rest when r < dst -> e :: insert rest
+      | l -> (dst, c) :: l
+    in
+    node.sent_order <- insert node.sent_order
+
+(* one run of updates as one wire message, to [dst] or (without [dst])
+   to every peer: a single update as a plain [Update], a longer run as
+   an [Update_batch]; either way one message value shared by the whole
+   fan-out *)
+let send_run t ~src ?dst us =
+  let msg, bytes =
+    match us with
+    | [ u ] -> (Protocol.Update u, update_wire_bytes t.cfg)
+    | us -> (Protocol.Update_batch us, batch_wire_bytes t.cfg us)
+  in
+  let kind = Protocol.kind msg in
+  match dst with
+  | None -> Network.broadcast t.net ~src ~bytes ~kind msg
+  | Some dst -> Network.send t.net ~src ~dst ~bytes ~kind msg
+
+let flush_outbox t node_id =
+  let node = t.nodes.(node_id) in
+  match node.outbox with
+  | [] -> ()
+  | newest_first ->
+    node.outbox <- [];
+    node.flush_epoch <- node.flush_epoch + 1;
+    (match t.extras with
+    | Some e ->
+      Metrics.Histogram.observe e.h_flush
+        (float_of_int (List.length newest_first))
+    | None -> ());
+    let us = List.rev newest_first in
+    let broadcast () =
+      node.broadcast_sent <- node.broadcast_sent + List.length us;
+      send_run t ~src:node_id us
+    in
+    match t.cfg.Config.multicast with
+    | None -> broadcast ()
+    | Some subscribers ->
+      let routes = List.map (fun (u : Protocol.update) -> subscribers u.loc) us in
+      if List.for_all Option.is_none routes then broadcast ()
+      else begin
+        (* one run per destination, each in useq order: a location's
+           updates go to its subscribers only (None: to everyone) *)
+        let n = t.cfg.Config.procs in
+        let runs = Array.make n [] in
+        List.iter2
+          (fun u -> function
+            | None ->
+              node.broadcast_sent <- node.broadcast_sent + 1;
+              for dst = 0 to n - 1 do
+                runs.(dst) <- u :: runs.(dst)
+              done
+            | Some subs ->
+              List.iter
+                (fun dst ->
+                  if dst <> node_id then count_sent node dst;
+                  runs.(dst) <- u :: runs.(dst))
+                (List.sort_uniq compare subs))
+          us routes;
+        Array.iteri
+          (fun dst run ->
+            if dst <> node_id && run <> [] then
+              send_run t ~src:node_id ~dst (List.rev run))
+          runs
+      end
+
+(* flush point: a read of a location this node has already read since
+   its oldest buffered update. A repeated read is how a PRAM poll loop
+   looks from here, and the value it waits for may depend on the
+   buffered updates reaching a peer first. The stamp of a location is
+   the flush epoch of its last such read, so the check allocates nothing
+   once the location has been stamped. *)
+let note_read t node_id loc =
+  let node = t.nodes.(node_id) in
+  match node.outbox with
+  | [] -> ()
+  | _ :: _ -> (
+    let stamps =
+      match node.read_stamps with
+      | Some h -> h
+      | None ->
+        let h = Hashtbl.create 16 in
+        node.read_stamps <- Some h;
+        h
+    in
+    match Hashtbl.find stamps loc with
+    | s when !s = node.flush_epoch -> flush_outbox t node_id
+    | s -> s := node.flush_epoch
+    | exception Not_found -> Hashtbl.add stamps loc (ref node.flush_epoch))
+
 let run t =
   let tend = Engine.run t.engine in
   (match (t.recorder, t.checker) with
@@ -701,16 +816,20 @@ let run t =
 
 let online_checker t = t.checker
 
+(* fiber exit is a flush point: what a finished fiber wrote must still
+   reach its peers *)
 let spawn_process t i f =
   Engine.spawn t.engine ~name:(Printf.sprintf "proc-%d" i) (fun () ->
-      f (proc t i))
+      f (proc t i);
+      flush_outbox t i)
 
 let spawn_thread t i f =
   (* an additional fiber of process [i]: shares its replica and recorder,
      so the recorded local history becomes a genuine partial order
      (Section 3 models intra-process concurrency) *)
   Engine.spawn t.engine ~name:(Printf.sprintf "proc-%d-thread" i) (fun () ->
-      f (proc t i))
+      f (proc t i);
+      flush_outbox t i)
 
 (* ------------------------------------------------------------------ *)
 (* Instrumentation helpers                                             *)
@@ -864,6 +983,7 @@ let fetch_read p pl ~label ~shard loc =
 let read p ?(label = Op.Causal) loc =
   Metrics.Counter.incr p.rt.hot.c_read;
   charge p;
+  note_read p.rt p.id loc;
   let node = p.rt.nodes.(p.id) in
   let t0 = Engine.now p.rt.engine in
   (match p.rt.extras with
@@ -933,96 +1053,16 @@ let read p ?(label = Op.Causal) loc =
         trace_loc_span p ~t0 loc "read";
         numeric)
 
-(* flush the buffered outbox: a single update goes out as a plain
-   [Update] (same wire cost as the unbatched path), a longer run as one
-   delta-encoded [Update_batch] whose payload is allocated once and
-   shared across the whole fan-out *)
-let flush_outbox t node_id =
-  let node = t.nodes.(node_id) in
-  match node.outbox with
-  | [] -> ()
-  | buffered ->
-    (match t.extras with
-    | Some e ->
-      Metrics.Histogram.observe e.h_flush (float_of_int node.outbox_len)
-    | None -> ());
-    node.outbox <- [];
-    node.outbox_len <- 0;
-    (match buffered with
-    | [ u ] ->
-      let msg = Protocol.Update u in
-      node.broadcast_sent <- node.broadcast_sent + 1;
-      Network.broadcast t.net ~src:node_id ~bytes:(update_wire_bytes t.cfg)
-        ~kind:(Protocol.kind msg) msg
-    | buffered ->
-      let b = Protocol.encode_batch (List.rev buffered) in
-      let bytes = batch_wire_bytes t.cfg b in
-      node.broadcast_sent <- node.broadcast_sent + Protocol.batch_length b;
-      Network.broadcast t.net ~src:node_id ~bytes ~kind:"update_batch"
-        (Protocol.Update_batch b))
-
-(* credit one routed update to [dst]'s count, making its cell on the
-   first update to [dst] *)
-let count_sent node dst =
-  match Hashtbl.find node.sent_updates dst with
-  | c -> incr c
-  | exception Not_found ->
-    let c = ref 1 in
-    Hashtbl.add node.sent_updates dst c;
-    let rec insert = function
-      | ((r, _) as e) :: rest when r < dst -> e :: insert rest
-      | l -> (dst, c) :: l
-    in
-    node.sent_order <- insert node.sent_order
-
 (* a barrier arrival's (receiver, sender, count) entries *)
 let rec sent_entries id = function
   | [] -> []
   | (r, c) :: rest -> (r, id, !c) :: sent_entries id rest
 
-let broadcast_update p (u : Protocol.update) =
+(* write path under full and multicast routing: the update waits in the
+   outbox until the writer's next flush point *)
+let buffer_update p (u : Protocol.update) =
   let node = p.rt.nodes.(p.id) in
-  let bytes = update_wire_bytes p.rt.cfg in
-  (* one message value shared by the whole fan-out *)
-  let msg = Protocol.Update u in
-  let kind = Protocol.kind msg in
-  let send_to dst =
-    if dst <> p.id then Network.send p.rt.net ~src:p.id ~dst ~bytes ~kind msg
-  in
-  let send_all () =
-    node.broadcast_sent <- node.broadcast_sent + 1;
-    Network.broadcast p.rt.net ~src:p.id ~bytes ~kind msg
-  in
-  match p.rt.cfg.Config.multicast with
-  | None ->
-    if p.rt.cfg.Config.batch_max <= 1 then send_all ()
-    else begin
-      (* coalesce: consecutive local updates have consecutive useqs, so
-         the outbox is always a valid batch. Flushed when full, when the
-         window timer fires, and before every synchronization operation
-         (so no dependency clock sent to a peer can ever reference a
-         buffered update) *)
-      node.outbox <- u :: node.outbox;
-      node.outbox_len <- node.outbox_len + 1;
-      if node.outbox_len >= p.rt.cfg.Config.batch_max then
-        flush_outbox p.rt p.id
-      else if not node.flush_scheduled then begin
-        node.flush_scheduled <- true;
-        let rt = p.rt and id = p.id in
-        Engine.schedule rt.engine ~delay:rt.cfg.Config.batch_window (fun () ->
-            rt.nodes.(id).flush_scheduled <- false;
-            flush_outbox rt id)
-      end
-    end
-  | Some subscribers -> (
-    match subscribers u.loc with
-    | None -> send_all ()
-    | Some subs ->
-      List.iter
-        (fun dst ->
-          if dst <> p.id then count_sent node dst;
-          send_to dst)
-        (List.sort_uniq compare subs))
+  node.outbox <- u :: node.outbox
 
 (* sharded mode: credit the barrier count vectors for every subscriber
    (they all eventually receive the update via the tree) and send it to
@@ -1128,7 +1168,7 @@ let write p loc v =
       track_write_set p loc ~numeric:v ~tag;
       if p.rt.checker <> None then
         register_live p.rt loc ~value:tag ~writer:p.id ~useq:u.Protocol.useq;
-      broadcast_update p u
+      buffer_update p u
     end
 
 let init_counter p loc v =
@@ -1154,7 +1194,7 @@ let init_counter p loc v =
     else begin
       let u = Replica.local_write node.replica ~loc ~numeric:v ~tag:0 in
       track_write_set p loc ~numeric:v ~tag:0;
-      broadcast_update p u
+      buffer_update p u
     end
 
 let decrement p loc ~amount =
@@ -1181,7 +1221,7 @@ let decrement p loc ~amount =
       let u, observed = Replica.local_dec node.replica ~loc ~amount in
       if recording p then record p (Op.Decrement { loc; amount; observed });
       track_write_set p loc ~numeric:(observed - amount) ~tag:0;
-      broadcast_update p u
+      buffer_update p u
     end);
   trace_loc_span p ~t0 loc "decrement"
 
@@ -1466,8 +1506,11 @@ let await p loc v =
       trace_loc_span p ~t0 loc "await");
   stability_sweep p.rt
 
+(* the writer's think time is a flush point: updates are never held
+   through it *)
 let compute p cost =
   Metrics.Counter.incr p.rt.hot.c_compute;
+  flush_outbox p.rt p.id;
   Engine.delay p.rt.engine cost
 
 (* ------------------------------------------------------------------ *)

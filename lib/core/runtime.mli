@@ -14,7 +14,7 @@
 
     Reads are served from the local replica (PRAM view or causal view
     according to the label, Definition 4); writes update the local
-    replica and broadcast asynchronously; locks, barriers and awaits
+    replica and propagate asynchronously; locks, barriers and awaits
     implement the synchronization orders of Section 3.1 with the
     propagation strategy chosen in {!Config.t}.
 
@@ -35,7 +35,9 @@ val engine : t -> Mc_sim.Engine.t
 val config : t -> Config.t
 val network : t -> Protocol.msg Mc_net.Network.t
 
-(** [proc t i] is the handle for process [i]. *)
+(** [proc t i] is the handle for process [i]. Its operations must run
+    in a fiber started by {!spawn_process} or {!spawn_thread}, whose
+    exit flushes the process's buffered updates (see {!write}). *)
 val proc : t -> int -> proc
 
 val proc_id : proc -> int
@@ -43,7 +45,8 @@ val proc_id : proc -> int
 (** [runtime_of_proc p] recovers the runtime a handle belongs to. *)
 val runtime_of_proc : proc -> t
 
-(** [spawn_process t i f] spawns the application fiber of process [i]. *)
+(** [spawn_process t i f] spawns the application fiber of process [i].
+    When [f] returns, the process's buffered updates are sent. *)
 val spawn_process : t -> int -> (proc -> unit) -> unit
 
 (** [spawn_thread t i f] spawns an additional fiber of process [i]
@@ -71,11 +74,23 @@ val online_checker : t -> Mc_consistency.Online.t option
 
 (** [read p ?label loc] returns the current value of [loc] in the view
     selected by [label] (default [Causal]). Non-blocking except in
-    demand propagation mode when [loc] has a pending invalidation. *)
+    demand propagation mode when [loc] has a pending invalidation. A
+    read of a location already read since the process's oldest buffered
+    update sends its buffered updates first (a repeated read is how a
+    poll loop looks; see {!write}). *)
 val read : proc -> ?label:Mc_history.Op.label -> Mc_history.Op.location -> int
 
-(** [write p loc v] installs [v] at [loc] locally and broadcasts the
-    update. Non-blocking. *)
+(** [write p loc v] installs [v] at [loc] locally and propagates the
+    update. Non-blocking.
+
+    Under full and multicast routing the update waits in the process's
+    outbox until its next flush point: a lock, unlock, barrier or await;
+    a [compute]; the end of its fiber; or a repeated read (see {!read}).
+    A flush sends each peer one message: a single [Update], or an
+    [Update_batch] carrying the run in useq order, charged as its delta
+    encoding ({!Protocol.batch}). Under multicast routing each
+    destination receives the updates of the locations it subscribes
+    to. Sharded placement sends every update down its tree at once. *)
 val write : proc -> Mc_history.Op.location -> int -> unit
 
 (** {1 Counter objects (Section 5.3)} *)
@@ -107,10 +122,13 @@ val barrier : proc -> unit
 val barrier_subset : proc -> int list -> unit
 
 (** [await p loc v] blocks until [loc] holds [v] in the view selected by
-    [config.await_label]. *)
+    [config.await_label]. The view is tested after each applied
+    message, so a value that one coalesced batch writes and overwrites
+    is never observed. *)
 val await : proc -> Mc_history.Op.location -> int -> unit
 
-(** [compute p cost] charges [cost] units of local computation time. *)
+(** [compute p cost] sends the process's buffered updates, then charges
+    [cost] units of local computation time. *)
 val compute : proc -> float -> unit
 
 (** {1 Results and statistics} *)

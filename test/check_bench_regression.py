@@ -77,6 +77,13 @@ DETERMINISTIC = [
     ),
     # allocation per in-order receipt: the direct-apply path's cost
     ("EXP-DELIVERY", "steady", ("p", "updates"), ("words_per_update",)),
+    # update coalescing: one message per writer, peer and sync interval
+    (
+        "EXP-DELIVERY",
+        "batching",
+        ("writes",),
+        ("update_messages", "updates_per_message", "messages", "bytes", "sim_time"),
+    ),
 ]
 
 

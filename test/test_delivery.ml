@@ -11,10 +11,11 @@
      multicast routing;
    - every Section-5 application computes the same result with the same
      history on both engines;
-   - update batching: encode/decode roundtrips, batched runs are
-     bit-identical across engines, preserve the unbatched final memory
-     and verdict, cost strictly fewer messages and bytes, and the window
-     timer flushes a stalled outbox. *)
+   - update coalescing: the delta encoding roundtrips and its entry
+     count matches the byte model's; coalesced runs are bit-identical
+     across engines, mixed-consistent, reach the program's closed-form
+     final memory with an exact message count; a fiber's exit, its
+     compute time and a PRAM poll loop each flush the outbox. *)
 
 module Engine = Mc_sim.Engine
 module Runtime = Mc_dsm.Runtime
@@ -465,6 +466,13 @@ let batch_roundtrip =
     (QCheck.make update_seq_gen) (fun us ->
       Protocol.decode_batch (Protocol.encode_batch us) = us)
 
+(* the byte model counts the entries without building the encoding *)
+let delta_entries_match =
+  QCheck.Test.make ~name:"delta_entries counts the encoding" ~count:300
+    (QCheck.make update_seq_gen) (fun us ->
+      Protocol.delta_entries us
+      = Protocol.batch_delta_entries (Protocol.encode_batch us))
+
 let test_batch_encoding_directed () =
   Alcotest.check_raises "empty batch"
     (Invalid_argument "Protocol.encode_batch: empty batch") (fun () ->
@@ -510,18 +518,10 @@ let write_heavy_program procs rt =
         Runtime.barrier p)
   done
 
-let run_write_heavy ~delivery ~batch_max () =
+let run_write_heavy ~delivery () =
   let procs = 3 in
   let engine = Engine.create () in
-  let cfg =
-    {
-      (Config.default ~procs) with
-      record = true;
-      delivery;
-      batch_max;
-      batch_window = 2.0;
-    }
-  in
+  let cfg = { (Config.default ~procs) with record = true; delivery } in
   let latency = Latency.uniform (Rng.make 5) ~lo:10. ~hi:60. in
   let rt = Runtime.create engine ~latency cfg in
   write_heavy_program procs rt;
@@ -529,39 +529,80 @@ let run_write_heavy ~delivery ~batch_max () =
   rt
 
 let test_batching_preserves_semantics () =
-  let rt1 = run_write_heavy ~delivery:Config.Fast ~batch_max:1 () in
-  let rt8 = run_write_heavy ~delivery:Config.Fast ~batch_max:8 () in
-  let rt8r = run_write_heavy ~delivery:Config.Reference ~batch_max:8 () in
-  check_histories "batched engines agree" (Runtime.history rt8)
-    (Runtime.history rt8r);
+  let rt = run_write_heavy ~delivery:Config.Fast () in
+  let rt_ref = run_write_heavy ~delivery:Config.Reference () in
+  check_histories "coalesced engines agree" (Runtime.history rt)
+    (Runtime.history rt_ref);
+  (* every process's last write to its own location is 20 *)
   for proc = 0 to 2 do
     for j = 0 to 2 do
       let loc = Printf.sprintf "w%d" j in
-      check_int
-        (Printf.sprintf "final %s at %d" loc proc)
-        (Runtime.peek rt1 ~proc loc)
-        (Runtime.peek rt8 ~proc loc)
+      check_int (Printf.sprintf "final %s at %d" loc proc) 20
+        (Runtime.peek rt ~proc loc)
     done
   done;
-  check "unbatched run mixed consistent" true
-    (Mixed.is_mixed_consistent (Runtime.history rt1));
-  check "batched run mixed consistent" true
-    (Mixed.is_mixed_consistent (Runtime.history rt8));
-  let msgs rt = Network.messages_sent (Runtime.network rt) in
-  let bytes rt = Network.bytes_sent (Runtime.network rt) in
-  check "batching sends fewer messages" true (msgs rt8 < msgs rt1);
-  check "batching sends fewer bytes" true (bytes rt8 < bytes rt1)
+  check "coalesced run mixed consistent" true
+    (Mixed.is_mixed_consistent (Runtime.history rt));
+  (* each process's 20 writes leave at its first barrier as one batch to
+     each of its 2 peers; each of the 2 barrier episodes costs 2 arrivals
+     and 2 releases at the root *)
+  let by_kind = Network.messages_by_kind (Runtime.network rt) in
+  let count kind = Option.value ~default:0 (List.assoc_opt kind by_kind) in
+  check_int "one batch per writer and peer" 6 (count "update_batch");
+  check_int "no single-update messages" 0 (count "update");
+  check_int "barrier arrivals" 4 (count "barrier_arrive");
+  check_int "barrier releases" 4 (count "barrier_release");
+  check_int "messages" 14 (Network.messages_sent (Runtime.network rt))
 
-let test_batch_window_flush () =
-  (* no synchronization ever forces a flush here: only the window timer
-     can get the buffered write onto the wire *)
+let test_exit_flush () =
+  (* the writer never synchronizes: only its fiber's exit puts the
+     write on the wire, and nothing left behind (such as a flush timer)
+     outlives the awaiting fiber *)
   let engine = Engine.create () in
-  let cfg = { (Config.default ~procs:2) with batch_max = 64; batch_window = 5.0 } in
-  let rt = Runtime.create engine cfg in
+  let rt = Runtime.create engine (Config.default ~procs:2) in
+  let finished = ref nan in
   Runtime.spawn_process rt 0 (fun p -> Runtime.write p "x" 7);
-  Runtime.spawn_process rt 1 (fun p -> Runtime.await p "x" 7);
+  Runtime.spawn_process rt 1 (fun p ->
+      Runtime.await p "x" 7;
+      finished := Engine.now engine);
+  let tend = Runtime.run rt in
+  check_int "delivered by exit flush" 7 (Runtime.peek rt ~proc:1 "x");
+  Alcotest.(check (float 0.)) "run ends when the awaiting fiber does" !finished
+    tend
+
+let test_compute_flush () =
+  (* updates are not held through the writer's think time: the reader
+     sees x long before the writer's 10 ms compute ends *)
+  let engine = Engine.create () in
+  let rt = Runtime.create engine (Config.default ~procs:2) in
+  let seen_at = ref nan in
+  Runtime.spawn_process rt 0 (fun p ->
+      Runtime.write p "x" 1;
+      Runtime.compute p 10_000.);
+  Runtime.spawn_process rt 1 (fun p ->
+      Runtime.await p "x" 1;
+      seen_at := Engine.now engine);
   ignore (Runtime.run rt);
-  check_int "delivered by window flush" 7 (Runtime.peek rt ~proc:1 "x")
+  check "seen during the compute" true (!seen_at < 1_000.)
+
+let test_read_spin_liveness () =
+  (* P0's write of x stays buffered while it polls y; P1 writes y only
+     after seeing x. The repeated read of y is what flushes x. *)
+  let engine = Engine.create () in
+  let rt = Runtime.create engine (Config.default ~procs:2) in
+  let spins = ref 0 and seen = ref 0 in
+  Runtime.spawn_process rt 0 (fun p ->
+      Runtime.write p "x" 1;
+      while !seen <> 1 && !spins < 10_000 do
+        incr spins;
+        seen := Runtime.read p ~label:Op.PRAM "y"
+      done);
+  Runtime.spawn_process rt 1 (fun p ->
+      Runtime.await p "x" 1;
+      Runtime.write p "y" 1);
+  ignore (Runtime.run rt);
+  check_int "poll loop sees y" 1 !seen;
+  check "poll loop ends in a round trip" true (!spins < 10_000)
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -581,9 +622,12 @@ let () =
       ( "batching",
         [
           qt batch_roundtrip;
+          qt delta_entries_match;
           Alcotest.test_case "encoding directed" `Quick test_batch_encoding_directed;
           Alcotest.test_case "semantics preserved" `Quick
             test_batching_preserves_semantics;
-          Alcotest.test_case "window flush" `Quick test_batch_window_flush;
+          Alcotest.test_case "exit flush" `Quick test_exit_flush;
+          Alcotest.test_case "compute flush" `Quick test_compute_flush;
+          Alcotest.test_case "read-spin liveness" `Quick test_read_spin_liveness;
         ] );
     ]

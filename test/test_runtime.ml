@@ -205,10 +205,13 @@ let test_await_pram_label () =
   check "pram await fires" true !seen
 
 let test_counters () =
+  (* Section 5.3: the counter starts at the number of decrements to come
+     (1 here plus 2 at each of two peers), so 0 is its final value and
+     the await cannot miss it *)
   let _, rt = make ~procs:3 () in
   let final = ref (-1) in
   Runtime.spawn_process rt 0 (fun p ->
-      Runtime.init_counter p "c" 4;
+      Runtime.init_counter p "c" 5;
       Runtime.barrier p;
       Runtime.decrement p "c" ~amount:1;
       Runtime.await p "c" 0;
